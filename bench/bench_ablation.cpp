@@ -4,16 +4,11 @@
 //  (a) edge-cost policy — pure hop count vs inverse frequency vs the
 //      default hops-then-frequency tie-breaking;
 //  (b) transition expansion — materializing the cells skipped by sparse
-//      reporting vs keeping only raw (lag_cl, cl) jumps;
-//  (c) median aggregate — exact median vs the constant-memory P^2
-//      estimator inside the per-cell statistics.
+//      reporting vs keeping only raw (lag_cl, cl) jumps.
 #include <cstdio>
 #include <string>
 
-#include "core/stopwatch.h"
 #include "eval/harness.h"
-#include "habit/graph_builder.h"
-#include "minidb/query.h"
 
 namespace {
 
@@ -51,28 +46,8 @@ int main() {
                exp, std::string("habit:expand=") + (expand ? "1" : "0")));
   }
 
-  std::printf("(c) per-cell median aggregate (statistics build only):\n");
-  {
-    const db::Table ais_table =
-        core::TripsToTable(exp.train_trips, 9);
-    for (const auto kind :
-         {db::AggKind::kMedianExact, db::AggKind::kMedianP2}) {
-      Stopwatch sw;
-      auto stats = db::From(ais_table)
-                       .GroupBy({"cell"},
-                                {{kind, "lon", "med_lon"},
-                                 {kind, "lat", "med_lat"}})
-                       .Execute();
-      if (!stats.ok()) continue;
-      // Compare the two estimates' agreement via mean absolute deviation
-      // against the exact median (recomputed once).
-      std::printf("  %-34s build %6.3fs over %zu cells\n",
-                  db::AggKindToString(kind), sw.ElapsedSeconds(),
-                  stats.value().num_rows());
-    }
-  }
   std::printf("\nexpected: hops-then-frequency ~= hops, both more stable "
               "than inverse-frequency; disabling expansion raises failures "
-              "on sparse data; P^2 builds faster with bounded memory\n");
+              "on sparse data\n");
   return 0;
 }

@@ -1,11 +1,96 @@
 #include "habit/graph_builder.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "hexgrid/hexgrid.h"
-#include "minidb/query.h"
+#include "sketch/hyperloglog.h"
+#include "sketch/quantile.h"
 
 namespace habit::core {
+
+namespace {
+
+struct PairHash {
+  template <typename T>
+  size_t operator()(const std::pair<T, T>& p) const {
+    return std::hash<uint64_t>()(static_cast<uint64_t>(p.first) *
+                                     0x9e3779b97f4a7c15ULL ^
+                                 static_cast<uint64_t>(p.second));
+  }
+};
+
+// The statistics kernels index raw rows, so a column that is missing, of
+// another type, shorter than the table, or holding a null is rejected up
+// front rather than read out of bounds.
+Result<const db::Column*> RequireColumn(const db::Table& table,
+                                        const std::string& name,
+                                        db::DataType type) {
+  HABIT_ASSIGN_OR_RETURN(const db::Column* col, table.GetColumn(name));
+  if (col->type() != type) {
+    return Status::InvalidArgument(
+        "column '" + name + "' is " + db::DataTypeToString(col->type()) +
+        ", expected " + db::DataTypeToString(type));
+  }
+  if (col->size() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "column '" + name + "' has " + std::to_string(col->size()) +
+        " rows; the table has " + std::to_string(table.num_rows()));
+  }
+  for (size_t r = 0; r < col->size(); ++r) {
+    if (!col->IsValid(r)) {
+      return Status::InvalidArgument("column '" + name +
+                                     "' is null at row " + std::to_string(r));
+    }
+  }
+  return col;
+}
+
+// Rows grouped by key. Groups are numbered in order of first appearance;
+// group g owns order[offsets[g] .. offsets[g + 1]), in input row order.
+struct Groups {
+  std::vector<size_t> offsets;
+  std::vector<size_t> order;
+
+  size_t size() const { return offsets.size() - 1; }
+  /// Group g's part of an array laid out like `order`.
+  template <typename T>
+  std::span<T> Slice(std::vector<T>& all, size_t g) const {
+    return std::span<T>(all).subspan(offsets[g], offsets[g + 1] - offsets[g]);
+  }
+};
+
+// Dense first-appearance ids, then a stable counting sort by id.
+template <typename Key, typename Hash = std::hash<Key>, typename KeyOf>
+Groups GroupRows(size_t n, KeyOf key_of) {
+  std::unordered_map<Key, size_t, Hash> ids;
+  std::vector<size_t> id(n);
+  for (size_t r = 0; r < n; ++r) {
+    id[r] = ids.try_emplace(key_of(r), ids.size()).first->second;
+  }
+  Groups groups;
+  groups.offsets.assign(ids.size() + 1, 0);
+  for (size_t r = 0; r < n; ++r) ++groups.offsets[id[r] + 1];
+  for (size_t g = 0; g < ids.size(); ++g) {
+    groups.offsets[g + 1] += groups.offsets[g];
+  }
+  std::vector<size_t> next(groups.offsets.begin(), groups.offsets.end() - 1);
+  groups.order.resize(n);
+  for (size_t r = 0; r < n; ++r) groups.order[next[id[r]]++] = r;
+  return groups;
+}
+
+// approx_count_distinct over one group's hashed keys.
+int64_t ApproxCountDistinct(std::span<uint64_t> hashes, int precision) {
+  return static_cast<int64_t>(std::llround(
+      sketch::HyperLogLog::EstimateSparse(hashes, precision)));
+}
+
+}  // namespace
 
 const char* ProjectionToString(Projection p) {
   switch (p) {
@@ -75,16 +160,53 @@ Result<db::Table> ComputeCellStats(const db::Table& ais_table,
   // SELECT cell, count(*), approx_count_distinct(mmsi),
   //        median(lon), median(lat), median(sog), median(cog)
   // FROM ais GROUP BY cell
-  return db::From(ais_table)
-      .GroupBy({"cell"},
-               {{db::AggKind::kCount, "", "cnt"},
-                {db::AggKind::kApproxCountDistinct, "mmsi", "vessels"},
-                {db::AggKind::kMedianExact, "lon", "med_lon"},
-                {db::AggKind::kMedianExact, "lat", "med_lat"},
-                {db::AggKind::kMedianExact, "sog", "med_sog"},
-                {db::AggKind::kMedianExact, "cog", "med_cog"}},
-               config.hll_precision)
-      .Execute();
+  HABIT_ASSIGN_OR_RETURN(
+      const db::Column* cell,
+      RequireColumn(ais_table, "cell", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(
+      const db::Column* mmsi,
+      RequireColumn(ais_table, "mmsi", db::DataType::kInt64));
+  std::vector<const db::Column*> median_inputs;
+  for (const char* name : {"lon", "lat", "sog", "cog"}) {
+    HABIT_ASSIGN_OR_RETURN(
+        const db::Column* col,
+        RequireColumn(ais_table, name, db::DataType::kDouble));
+    median_inputs.push_back(col);
+  }
+
+  const Groups cells = GroupRows<int64_t>(
+      ais_table.num_rows(), [&](size_t r) { return cell->GetInt(r); });
+  db::Table out(db::Schema{{"cell", db::DataType::kInt64},
+                           {"cnt", db::DataType::kInt64},
+                           {"vessels", db::DataType::kInt64},
+                           {"med_lon", db::DataType::kDouble},
+                           {"med_lat", db::DataType::kDouble},
+                           {"med_sog", db::DataType::kDouble},
+                           {"med_cog", db::DataType::kDouble}});
+  std::vector<uint64_t> hashes(cells.order.size());
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    hashes[i] = sketch::HyperLogLog::Hash64(
+        static_cast<uint64_t>(mmsi->GetInt(cells.order[i])));
+  }
+  for (size_t g = 0; g < cells.size(); ++g) {
+    out.column(0).AppendInt(cell->GetInt(cells.order[cells.offsets[g]]));
+    out.column(1).AppendInt(
+        static_cast<int64_t>(cells.offsets[g + 1] - cells.offsets[g]));
+    out.column(2).AppendInt(ApproxCountDistinct(
+        cells.Slice(hashes, g), config.hll_precision));
+  }
+  // Each group's values in input row order, as ExactMedian would hold them.
+  std::vector<double> values(cells.order.size());
+  for (size_t c = 0; c < median_inputs.size(); ++c) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = median_inputs[c]->GetDouble(cells.order[i]);
+    }
+    for (size_t g = 0; g < cells.size(); ++g) {
+      out.column(3 + c).AppendDouble(sketch::MedianInPlace(
+          cells.Slice(values, g)));
+    }
+  }
+  return out;
 }
 
 Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
@@ -95,36 +217,58 @@ Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
   // FROM lagged WHERE lag_cell IS NOT NULL AND lag_cell <> cell
   // GROUP BY lag_cell, cell
   HABIT_ASSIGN_OR_RETURN(
-      db::Table grouped,
-      db::From(ais_table)
-          .WindowLag({"trip_id"}, "ts", "cell", "lag_cell")
-          .Filter(db::And(db::Not(db::IsNull(db::Col("lag_cell"))),
-                          db::Ne(db::Col("lag_cell"), db::Col("cell"))))
-          .GroupBy({"lag_cell", "cell"},
-                   {{db::AggKind::kApproxCountDistinct, "trip_id",
-                     "transitions"}},
-                   config.hll_precision)
-          .Execute());
+      const db::Column* trip,
+      RequireColumn(ais_table, "trip_id", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(
+      const db::Column* ts,
+      RequireColumn(ais_table, "ts", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(
+      const db::Column* cell,
+      RequireColumn(ais_table, "cell", db::DataType::kInt64));
 
-  // Augment with the hex grid distance of each transition
-  // (h3_grid_distance(lag_cl, cl) in the paper).
-  db::Schema schema = grouped.schema();
-  schema.AddField("grid_distance", db::DataType::kInt64);
-  db::Table out(schema);
-  HABIT_ASSIGN_OR_RETURN(const db::Column* lag_col,
-                         grouped.GetColumn("lag_cell"));
-  HABIT_ASSIGN_OR_RETURN(const db::Column* cell_col, grouped.GetColumn("cell"));
-  for (size_t r = 0; r < grouped.num_rows(); ++r) {
-    for (size_t c = 0; c < grouped.num_columns(); ++c) {
-      out.column(c).AppendValue(grouped.column(c).GetValue(r));
+  // Partitions in first-appearance order, each stably sorted by ts; the
+  // (lag_cell, cell) pairs come out in the order the window emits rows.
+  Groups trips = GroupRows<int64_t>(
+      ais_table.num_rows(), [&](size_t r) { return trip->GetInt(r); });
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  std::vector<uint64_t> pair_trips;
+  for (size_t g = 0; g < trips.size(); ++g) {
+    const std::span<size_t> rows = trips.Slice(trips.order, g);
+    std::stable_sort(rows.begin(), rows.end(), [&](size_t a, size_t b) {
+      return ts->GetInt(a) < ts->GetInt(b);
+    });
+    for (size_t i = 1; i < rows.size(); ++i) {
+      const int64_t lag = cell->GetInt(rows[i - 1]);
+      const int64_t to = cell->GetInt(rows[i]);
+      if (lag == to) continue;
+      pairs.emplace_back(lag, to);
+      pair_trips.push_back(static_cast<uint64_t>(trip->GetInt(rows[i])));
     }
-    const auto a = static_cast<hex::CellId>(lag_col->GetInt(r));
-    const auto b = static_cast<hex::CellId>(cell_col->GetInt(r));
-    const auto dist = hex::GridDistance(a, b);
+  }
+
+  const Groups edges = GroupRows<std::pair<int64_t, int64_t>, PairHash>(
+      pairs.size(), [&](size_t i) { return pairs[i]; });
+  std::vector<uint64_t> hashes(edges.order.size());
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    hashes[i] = sketch::HyperLogLog::Hash64(pair_trips[edges.order[i]]);
+  }
+  // grid_distance is h3_grid_distance(lag_cl, cl) in the paper.
+  db::Table out(db::Schema{{"lag_cell", db::DataType::kInt64},
+                           {"cell", db::DataType::kInt64},
+                           {"transitions", db::DataType::kInt64},
+                           {"grid_distance", db::DataType::kInt64}});
+  for (size_t g = 0; g < edges.size(); ++g) {
+    const auto [lag, to] = pairs[edges.order[edges.offsets[g]]];
+    out.column(0).AppendInt(lag);
+    out.column(1).AppendInt(to);
+    out.column(2).AppendInt(ApproxCountDistinct(
+        edges.Slice(hashes, g), config.hll_precision));
+    const auto dist = hex::GridDistance(static_cast<hex::CellId>(lag),
+                                        static_cast<hex::CellId>(to));
     if (dist.ok()) {
-      out.column(grouped.num_columns()).AppendInt(dist.value());
+      out.column(3).AppendInt(dist.value());
     } else {
-      out.column(grouped.num_columns()).AppendNull();
+      out.column(3).AppendNull();
     }
   }
   return out;
@@ -174,12 +318,6 @@ Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
   // expand_transitions, a jump of grid distance g > 1 contributes its count
   // to every consecutive pair along the hex grid path between the two
   // cells (the discretization skipped those cells, not the vessel).
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
-      return std::hash<uint64_t>()(p.first * 0x9e3779b97f4a7c15ULL ^
-                                   p.second);
-    }
-  };
   std::unordered_map<std::pair<uint64_t, uint64_t>, int64_t, PairHash> accum;
   for (size_t r = 0; r < transition_stats.num_rows(); ++r) {
     const auto u = static_cast<hex::CellId>(lag_col->GetInt(r));

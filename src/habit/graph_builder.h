@@ -1,6 +1,8 @@
-// Graph generation (Section 3.2): projects trips onto the hex grid with a
-// minidb CTE — LAG per trip, then two-level aggregation — and assembles the
-// transition graph with per-cell statistics.
+// Graph generation (Section 3.2): projects trips onto the hex grid, computes
+// the paper's DuckDB query — per-cell counts, medians and
+// approx_count_distinct, and a LAG window per trip whose transitions are
+// grouped again — with a typed group-by kernel over the table's columns,
+// and assembles the transition graph with per-cell statistics.
 #pragma once
 
 #include <vector>
@@ -13,18 +15,24 @@
 
 namespace habit::core {
 
-/// \brief Converts trips to the flat AIS table the CTE consumes. Columns:
-/// trip_id, mmsi, ts, lon, lat, sog, cog, cell (the H3 cell id at the
-/// configured resolution, stored as int64).
+/// \brief Converts trips to the flat AIS table the statistics consume.
+/// Columns: trip_id, mmsi, ts, lon, lat, sog, cog, cell (the H3 cell id at
+/// the configured resolution, stored as int64).
 db::Table TripsToTable(const std::vector<ais::Trip>& trips, int resolution);
 
 /// \brief The per-cell statistics table (group by cl):
-/// cell, cnt, vessels, med_lon, med_lat, med_sog, med_cog.
+/// cell, cnt, vessels, med_lon, med_lat, med_sog, med_cog. Groups come in
+/// order of first appearance. Reads cell, mmsi (int64) and lon, lat, sog,
+/// cog (double); NotFound if one is missing, InvalidArgument if one has
+/// another type or a null.
 Result<db::Table> ComputeCellStats(const db::Table& ais_table,
                                    const HabitConfig& config);
 
 /// \brief The transition statistics table (group by (lag_cl, cl), with
-/// lag_cl != cl): lag_cell, cell, transitions, grid_distance.
+/// lag_cl != cl): lag_cell, cell, transitions, grid_distance. Groups come in
+/// the order the LAG window first emits them: trips by first appearance,
+/// rows of a trip by ts (stable). Reads trip_id, ts and cell (int64), with
+/// the same errors as ComputeCellStats.
 Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
                                          const HabitConfig& config);
 

@@ -21,6 +21,31 @@ double AlphaM(size_t m) {
   }
 }
 
+struct Register {
+  uint64_t index;
+  int rank;
+};
+
+Register ToRegister(uint64_t hash, int precision) {
+  const uint64_t tail = hash << precision;
+  // Rank = number of leading zeros in the remaining bits, + 1.
+  return {hash >> (64 - precision),
+          tail == 0 ? (64 - precision + 1) : (std::countl_zero(tail) + 1)};
+}
+
+// `sum` is the harmonic sum of 2^-register over all m registers, `zeros`
+// the count of empty ones.
+double FinishEstimate(size_t m, double sum, size_t zeros) {
+  double estimate = AlphaM(m) * static_cast<double>(m) *
+                    static_cast<double>(m) / sum;
+  // Small-range (linear counting) correction.
+  if (estimate <= 2.5 * static_cast<double>(m) && zeros > 0) {
+    estimate = static_cast<double>(m) *
+               std::log(static_cast<double>(m) / static_cast<double>(zeros));
+  }
+  return estimate;
+}
+
 }  // namespace
 
 HyperLogLog::HyperLogLog(int precision)
@@ -35,13 +60,9 @@ uint64_t HyperLogLog::Hash64(uint64_t x) {
 }
 
 void HyperLogLog::AddHash(uint64_t hash) {
-  const uint64_t index = hash >> (64 - precision_);
-  const uint64_t tail = hash << precision_;
-  // Rank = number of leading zeros in the remaining bits, + 1.
-  const int rank =
-      tail == 0 ? (64 - precision_ + 1) : (std::countl_zero(tail) + 1);
-  uint8_t& reg = registers_[index];
-  reg = std::max<uint8_t>(reg, static_cast<uint8_t>(rank));
+  const Register r = ToRegister(hash, precision_);
+  uint8_t& reg = registers_[r.index];
+  reg = std::max<uint8_t>(reg, static_cast<uint8_t>(r.rank));
 }
 
 void HyperLogLog::AddInt(uint64_t key) { AddHash(Hash64(key)); }
@@ -64,14 +85,45 @@ double HyperLogLog::Estimate() const {
     sum += std::ldexp(1.0, -static_cast<int>(r));
     if (r == 0) ++zeros;
   }
-  double estimate = AlphaM(m) * static_cast<double>(m) *
-                    static_cast<double>(m) / sum;
-  // Small-range (linear counting) correction.
-  if (estimate <= 2.5 * static_cast<double>(m) && zeros > 0) {
-    estimate = static_cast<double>(m) *
-               std::log(static_cast<double>(m) / static_cast<double>(zeros));
+  return FinishEstimate(m, sum, zeros);
+}
+
+double HyperLogLog::EstimateSparse(std::span<uint64_t> hashes,
+                                   int precision) {
+  precision = std::clamp(precision, 4, 18);
+  // Pack each hash as (index << 8 | rank): after sorting, the last entry of
+  // each index run holds that register's value. Compact those to the front.
+  for (uint64_t& h : hashes) {
+    const Register r = ToRegister(h, precision);
+    h = (r.index << 8) | static_cast<uint64_t>(r.rank);
   }
-  return estimate;
+  std::sort(hashes.begin(), hashes.end());
+  size_t touched = 0;
+  int max_rank = 0;
+  for (size_t i = 0; i < hashes.size(); ++i) {
+    if (i + 1 < hashes.size() && (hashes[i + 1] >> 8) == (hashes[i] >> 8)) {
+      continue;
+    }
+    hashes[touched++] = hashes[i];
+    max_rank = std::max(max_rank, static_cast<int>(hashes[i] & 0xff));
+  }
+  const size_t m = size_t{1} << precision;
+  // The dense loop adds 2^-r register by register. Every partial sum is a
+  // multiple of 2^-max_rank no larger than m, so it is exact — and the sum
+  // independent of order — while max_rank + precision + 1 <= 53. Past that,
+  // replay the dense loop itself.
+  if (max_rank + precision + 1 > 53) {
+    HyperLogLog dense(precision);
+    for (size_t i = 0; i < touched; ++i) {
+      dense.registers_[hashes[i] >> 8] = static_cast<uint8_t>(hashes[i]);
+    }
+    return dense.Estimate();
+  }
+  double sum = static_cast<double>(m - touched);
+  for (size_t i = 0; i < touched; ++i) {
+    sum += std::ldexp(1.0, -static_cast<int>(hashes[i] & 0xff));
+  }
+  return FinishEstimate(m, sum, m - touched);
 }
 
 bool HyperLogLog::Merge(const HyperLogLog& other) {

@@ -1,8 +1,9 @@
-// HyperLogLog cardinality sketch, backing minidb's APPROX_COUNT_DISTINCT —
-// the aggregate the paper uses for distinct-vessel and distinct-trip counts.
+// HyperLogLog cardinality sketch, backing APPROX_COUNT_DISTINCT — the
+// aggregate the paper uses for distinct-vessel and distinct-trip counts.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,14 @@ class HyperLogLog {
 
   /// Current cardinality estimate.
   double Estimate() const;
+
+  /// The Estimate() of a sketch of `precision` (clamped like the
+  /// constructor's) after AddHash of every element of `hashes`, computed
+  /// from the touched registers alone — the sparse representation of
+  /// Heule et al., "HyperLogLog in Practice" (EDBT 2013) — so a group of k
+  /// keys costs O(k log k), not 2^p. The result has the same bits as the
+  /// dense estimate. Overwrites `hashes`.
+  static double EstimateSparse(std::span<uint64_t> hashes, int precision);
 
   /// Merges another sketch of the same precision (register-wise max).
   /// Sketches of different precision cannot be merged; returns false.

@@ -89,15 +89,19 @@ double P2Quantile::Estimate() const {
   return heights_[2];
 }
 
-double ExactMedian::Median() const {
-  if (values_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> v = values_;
+double MedianInPlace(std::span<double> v) {
+  if (v.empty()) return std::numeric_limits<double>::quiet_NaN();
   const size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + mid, v.end());
   double upper = v[mid];
   if (v.size() % 2 == 1) return upper;
   std::nth_element(v.begin(), v.begin() + mid - 1, v.begin() + mid);
   return (v[mid - 1] + upper) / 2.0;
+}
+
+double ExactMedian::Median() const {
+  std::vector<double> v = values_;
+  return MedianInPlace(v);
 }
 
 }  // namespace habit::sketch

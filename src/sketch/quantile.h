@@ -1,10 +1,11 @@
-// Streaming quantile estimation. minidb's MEDIAN aggregate is exact by
-// default (matching DuckDB's `median`); the P^2 estimator provides a
-// constant-memory approximate alternative used in the ablation benches.
+// Quantile estimation: the exact median behind HABIT's per-cell MEDIAN
+// statistics (matching DuckDB's `median`), and the constant-memory P^2
+// estimator behind the server and router latency percentiles.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace habit::sketch {
@@ -32,6 +33,11 @@ class P2Quantile {
   std::array<double, 5> increments_{};  // desired position increments
   std::vector<double> warmup_;          // first five observations
 };
+
+/// Median of `values` by two nth_element passes (midpoint convention for
+/// even counts); NaN if empty. Reorders `values`. ExactMedian and the HABIT
+/// statistics kernel both call this, so their medians agree bit for bit.
+double MedianInPlace(std::span<double> values);
 
 /// \brief Exact running median over a bounded value buffer. Kept simple:
 /// stores all values; Median() sorts a scratch copy on demand.

@@ -12,7 +12,6 @@
 #include "habit/framework.h"
 #include "habit/graph_builder.h"
 #include "hexgrid/hexgrid.h"
-#include "minidb/query.h"
 
 namespace habit {
 namespace {

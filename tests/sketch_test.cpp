@@ -1,8 +1,10 @@
-// Tests for the sketch module: HyperLogLog error bounds and merge algebra,
-// P^2 quantile estimation accuracy, exact median, reservoir sampling.
+// Tests for the sketch module: HyperLogLog error bounds, merge algebra and
+// sparse-vs-dense bit equality, P^2 quantile estimation accuracy, exact
+// median, reservoir sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -65,6 +67,57 @@ TEST(HllTest, PrecisionClampedIntoRange) {
   EXPECT_EQ(HyperLogLog(1).precision(), 4);
   EXPECT_EQ(HyperLogLog(30).precision(), 18);
   EXPECT_EQ(HyperLogLog(12).SizeBytes(), 4096u);
+}
+
+// EstimateSparse must reproduce the dense register loop bit for bit.
+void ExpectSparseMatchesDense(const std::vector<uint64_t>& hashes,
+                              int precision) {
+  HyperLogLog dense(precision);
+  for (const uint64_t h : hashes) dense.AddHash(h);
+  std::vector<uint64_t> scratch = hashes;
+  EXPECT_EQ(std::bit_cast<uint64_t>(
+                HyperLogLog::EstimateSparse(scratch, precision)),
+            std::bit_cast<uint64_t>(dense.Estimate()))
+      << "p=" << precision << " n=" << hashes.size();
+}
+
+TEST(HllSparseTest, MatchesDenseOnRandomSets) {
+  Rng rng(19);
+  // 2 and 20 are clamped into [4, 18] on both paths.
+  for (int p = 2; p <= 20; ++p) {
+    for (const int n : {0, 1, 7, 100, 1000, 5000, 20000}) {
+      // Keys drawn from [0, n] repeat, as vessel ids do across reports.
+      std::vector<uint64_t> hashes;
+      for (int i = 0; i < n; ++i) {
+        hashes.push_back(HyperLogLog::Hash64(
+            static_cast<uint64_t>(rng.UniformInt(0, n))));
+      }
+      ExpectSparseMatchesDense(hashes, p);
+    }
+  }
+}
+
+TEST(HllSparseTest, MatchesDenseWhenHighRanksForceTheDenseFallback) {
+  // Registers 0..7 hold `rank`, the last m/8 stay empty and the rest hold 3,
+  // so the raw (not linear-counting) estimate applies. The dense loop sums
+  // the eight 2^-rank terms first, while they are still exact; a sum that
+  // started from the m/8 empty registers would round each away once
+  // rank >= 56 - p. Ranks run across the exactness bound to the maximum,
+  // 65 - p (an all-zero tail).
+  for (int p = 4; p <= 18; ++p) {
+    const uint64_t m = uint64_t{1} << p;
+    const auto with_rank = [p](uint64_t index, int rank) {
+      const uint64_t head = index << (64 - p);
+      return rank > 64 - p ? head : head | (uint64_t{1} << (64 - p - rank));
+    };
+    for (int rank = 50 - p; rank <= 65 - p; ++rank) {
+      std::vector<uint64_t> hashes;
+      for (uint64_t i = 0; i < m - m / 8; ++i) {
+        hashes.push_back(with_rank(i, i < 8 ? rank : 3));
+      }
+      ExpectSparseMatchesDense(hashes, p);
+    }
+  }
 }
 
 TEST(ExactMedianTest, OddAndEvenCounts) {

@@ -32,6 +32,11 @@ rule name is shown in the violation message):
   snapshot-const The snapshot magic/version constants live ONLY in
                graph/snapshot.{h,cc}; a second definition is how two
                readers drift apart.
+  hll-home     The HyperLogLog estimate arithmetic (AlphaM and its
+               0.7213 / 1.079 constants) lives ONLY in
+               sketch/hyperloglog.{h,cc}. The dense and sparse estimators
+               share it there, which is what keeps them bit-identical; a
+               copy elsewhere is how approx_count_distinct results drift.
   socket-io    Raw ::recv/::send/::read/::write (and the *msg/*from
                variants) only inside src/server/transport.cc, frame.cc,
                and line_client.h. Everything else goes through
@@ -58,6 +63,7 @@ SYNC_EXEMPT = {"src/core/sync.h", "src/core/thread_annotations.h"}
 RNG_EXEMPT = {"src/core/rng.h"}
 PARSE_EXEMPT = {"src/core/parse.h"}
 SNAPSHOT_CONST_HOME = {"src/graph/snapshot.h", "src/graph/snapshot.cc"}
+HLL_HOME = {"src/sketch/hyperloglog.h", "src/sketch/hyperloglog.cc"}
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
                   "src/server/line_client.h"}
 
@@ -214,6 +220,19 @@ class Linter:
                 "instead of redefining",
                 raw_lines)
 
+    def check_hll_home(self, path: Path, rel: str, code: str,
+                       raw_lines: list[str]) -> None:
+        if rel in HLL_HOME:
+            return
+        for m in re.finditer(r"\bAlphaM\b|\b0\.7213\b|\b1\.079\b", code):
+            line_no = code.count("\n", 0, m.start()) + 1
+            self.report(
+                path, line_no, "hll-home",
+                "HyperLogLog estimate arithmetic lives only in "
+                "sketch/hyperloglog.{h,cc}; call HyperLogLog::Estimate / "
+                "EstimateSparse instead of re-deriving it",
+                raw_lines)
+
     def check_socket_io(self, path: Path, rel: str, code: str,
                         raw_lines: list[str]) -> None:
         if rel in SOCKET_IO_HOME:
@@ -308,6 +327,7 @@ class Linter:
         self.check_raw_parse(path, rel, code, raw_lines)
         self.check_graph_function(path, rel, code, raw_lines)
         self.check_snapshot_constants(path, rel, code, raw_lines)
+        self.check_hll_home(path, rel, code, raw_lines)
         self.check_socket_io(path, rel, code, raw_lines)
         self.check_bench_metric(path, text, raw_lines)
 
