@@ -1,15 +1,15 @@
-// Frozen, read-optimized graph core. A Digraph is the mutable build-time
-// representation (hash-map adjacency, cheap inserts); Digraph::Freeze()
-// produces a CompactGraph — an immutable CSR layout with dense uint32 node
-// indices, contiguous out-edge spans, structure-of-arrays attributes, a
-// bucketed id->index lookup, and a precomputed in-degree array. Every query
-// in the system (HABIT imputation, GTI, components, benches) runs against
-// the frozen form; only construction and serialization-loading touch
-// Digraph.
+// Frozen, read-optimized graph core: an immutable CSR layout with dense
+// uint32 node indices, contiguous out-edge spans, structure-of-arrays
+// attributes, a bucketed id->index lookup, and a precomputed in-degree
+// array. Every query in the system (HABIT imputation, GTI, components,
+// benches) runs against it. It is assembled in one place,
+// graph/csr_assembler.h: HABIT's builder feeds its sorted edge runs there
+// directly, and Digraph::Freeze() — for the mutable hash-map graph that
+// GTI and the CSV loader build — sorts its edges and does the same.
 //
 // Storage backend: every flat array is a std::span<const T> view over one
 // of two backings —
-//   owned   vectors filled by Freeze() or the copying snapshot loader
+//   owned   vectors filled by AssembleCsr or the copying snapshot loader
 //           (graph/snapshot.h), heap-resident;
 //   mapped  a single MmapRegion holding a v2 snapshot whose arrays are
 //           64-byte aligned on disk, so the graph serves directly from the
@@ -31,6 +31,8 @@ namespace habit::graph {
 class SnapshotWriter;
 class SnapshotReader;
 class MmapRegion;
+struct CsrEdge;
+struct NodeColumns;
 
 using NodeId = uint64_t;
 
@@ -88,7 +90,7 @@ Status ValidateLandmarks(size_t num_nodes, std::span<const NodeIndex> nodes,
                          std::span<const double> from,
                          std::span<const double> to);
 
-/// \brief Immutable CSR snapshot of a Digraph.
+/// \brief Immutable CSR graph.
 ///
 /// Storage: nodes are the sorted distinct NodeIds; out-edges of node i live
 /// in the half-open range [row_offsets_[i], row_offsets_[i+1]) of the edge
@@ -242,15 +244,18 @@ class CompactGraph {
   }
 
  private:
-  friend class Digraph;  // Freeze() fills an Arrays block directly
+  // The one assembly path fills an Arrays block directly.
+  friend Result<CompactGraph> AssembleCsr(std::vector<NodeId> node_ids,
+                                          NodeColumns nodes,
+                                          std::span<const CsrEdge> edges);
   // Binary snapshot I/O (graph/snapshot.h) dumps the column views and
   // restores either owned arrays (copy load) or mapped views (v2 mmap
-  // load), bypassing the Digraph build path.
+  // load), bypassing assembly.
   friend void AppendGraphSection(SnapshotWriter& writer,
                                  const CompactGraph& g);
   friend Result<CompactGraph> ReadGraphSection(SnapshotReader& reader);
 
-  /// Owned backing: the flat arrays built by Freeze() or the copying
+  /// Owned backing: the flat arrays built by AssembleCsr or the copying
   /// snapshot loader.
   struct Arrays {
     std::vector<NodeId> node_ids;        ///< sorted; index -> id

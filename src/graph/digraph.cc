@@ -2,10 +2,14 @@
 
 #include <algorithm>
 
+#include "graph/csr_assembler.h"
+
 namespace habit::graph {
 
 bool Digraph::AddNode(NodeId id, NodeAttrs attrs) {
-  return nodes_.emplace(id, attrs).second;
+  // try_emplace: emplace would allocate (and free) a map node even when the
+  // id is already present, which AddEdge hits twice per edge.
+  return nodes_.try_emplace(id, attrs).second;
 }
 
 void Digraph::AddEdge(NodeId u, NodeId v, EdgeAttrs attrs) {
@@ -66,84 +70,24 @@ const std::vector<std::pair<NodeId, EdgeAttrs>>& Digraph::OutEdges(
 }
 
 CompactGraph Digraph::Freeze(bool keep_attrs) const {
-  CompactGraph::Arrays a;
-  a.node_ids.reserve(nodes_.size());
-  for (const auto& [id, attrs] : nodes_) a.node_ids.push_back(id);
-  std::sort(a.node_ids.begin(), a.node_ids.end());
-
-  const size_t n = a.node_ids.size();
-  // The arrays are still being filled, so resolve ids locally (the graph's
-  // bucketed IndexOf only exists after adoption).
-  auto index_of = [&a](NodeId id) {
-    return static_cast<NodeIndex>(
-        std::lower_bound(a.node_ids.begin(), a.node_ids.end(), id) -
-        a.node_ids.begin());
-  };
-  a.row_offsets.assign(n + 1, 0);
-  a.in_degree.assign(n, 0);
-
-  // Pass 1: out-degrees -> prefix sums.
-  for (NodeIndex u = 0; u < n; ++u) {
-    const auto it = adj_.find(a.node_ids[u]);
-    a.row_offsets[u + 1] =
-        a.row_offsets[u] +
-        static_cast<uint32_t>(it == adj_.end() ? 0 : it->second.size());
-  }
-
-  // Pass 2: fill edge rows, then sort each row by target index so lookups
-  // can bisect and scans run in index order.
-  const size_t m = a.row_offsets[n];
-  a.edge_dst.resize(m);
-  a.edge_weight.resize(m);
+  std::vector<NodeId> ids;
+  ids.reserve(nodes_.size());
+  for (const auto& [id, attrs] : nodes_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  NodeColumns attrs;
   if (keep_attrs) {
-    a.edge_transitions.resize(m);
-    a.edge_grid_distance.resize(m);
+    attrs.Reserve(ids.size());
+    for (const NodeId id : ids) attrs.Append(nodes_.at(id));
   }
-  for (NodeIndex u = 0; u < n; ++u) {
-    const auto it = adj_.find(a.node_ids[u]);
-    if (it == adj_.end()) continue;
-    struct Out {
-      NodeIndex dst;
-      const EdgeAttrs* attrs;
-    };
-    std::vector<Out> row;
-    row.reserve(it->second.size());
-    for (const auto& [v, attrs] : it->second) {
-      row.push_back({index_of(v), &attrs});
-    }
-    std::sort(row.begin(), row.end(),
-              [](const Out& a, const Out& b) { return a.dst < b.dst; });
-    uint32_t e = a.row_offsets[u];
-    for (const Out& out : row) {
-      a.edge_dst[e] = out.dst;
-      a.edge_weight[e] = out.attrs->weight;
-      if (keep_attrs) {
-        a.edge_transitions[e] = out.attrs->transitions;
-        a.edge_grid_distance[e] = out.attrs->grid_distance;
-      }
-      ++a.in_degree[out.dst];
-      ++e;
-    }
+  std::vector<CsrEdge> edges;
+  edges.reserve(num_edges_);
+  for (const auto& [u, out] : adj_) {
+    for (const auto& [v, e] : out) edges.push_back({u, v, e});
   }
-
-  if (keep_attrs) {
-    a.median_pos.resize(n);
-    a.center_pos.resize(n);
-    a.message_count.resize(n);
-    a.distinct_vessels.resize(n);
-    a.median_sog.resize(n);
-    a.median_cog.resize(n);
-    for (NodeIndex u = 0; u < n; ++u) {
-      const NodeAttrs& attrs = nodes_.at(a.node_ids[u]);
-      a.median_pos[u] = attrs.median_pos;
-      a.center_pos[u] = attrs.center_pos;
-      a.message_count[u] = attrs.message_count;
-      a.distinct_vessels[u] = attrs.distinct_vessels;
-      a.median_sog[u] = attrs.median_sog;
-      a.median_cog[u] = attrs.median_cog;
-    }
-  }
-  return CompactGraph::FromOwned(std::move(a));
+  std::sort(edges.begin(), edges.end(), CsrEdgeLess);
+  // AddEdge adds both endpoints as nodes and replaces a repeated pair, so
+  // the input always satisfies the assembler's rules.
+  return AssembleCsr(std::move(ids), std::move(attrs), edges).MoveValue();
 }
 
 size_t Digraph::SerializedSizeBytes() const {

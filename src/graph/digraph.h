@@ -3,9 +3,12 @@
 // uses hexgrid CellIds, GTI uses point indices.
 //
 // Digraph is the *mutable build-time* representation: hash-map adjacency,
-// cheap incremental inserts. Serving never queries it directly — call
-// Freeze() to obtain the read-optimized graph::CompactGraph (CSR, dense
-// indices) that the search engine runs on.
+// cheap incremental inserts, for builders that insert as they go (GTI's
+// point graph, the CSV model loader, the landmark reverse graph). Serving
+// never queries it directly — Freeze() sorts its edges and hands them to
+// graph::AssembleCsr for the read-optimized CompactGraph (CSR, dense
+// indices) that the search engine runs on. HABIT's transition graph skips
+// it and is assembled from sorted edge runs directly.
 #pragma once
 
 #include <cstdint>

@@ -16,16 +16,9 @@ Result<std::unique_ptr<HabitFramework>> HabitFramework::Build(
   if (trips.empty()) {
     return Status::InvalidArgument("cannot build HABIT from zero trips");
   }
-  HABIT_ASSIGN_OR_RETURN(graph::Digraph g, BuildGraphFromTrips(trips, config));
-  return FromGraph(std::move(g), config);
-}
-
-Result<std::unique_ptr<HabitFramework>> HabitFramework::FromGraph(
-    graph::Digraph graph, const HabitConfig& config) {
-  if (graph.num_nodes() == 0) {
-    return Status::InvalidArgument("trips produced an empty graph");
-  }
-  return FromFrozen(graph.Freeze(), config);
+  HABIT_ASSIGN_OR_RETURN(graph::CompactGraph g,
+                         BuildGraphFromTrips(trips, config));
+  return FromFrozen(std::move(g), config);
 }
 
 Result<std::unique_ptr<HabitFramework>> HabitFramework::FromFrozen(

@@ -1,8 +1,7 @@
 // HabitFramework: the end-to-end public facade. Build it once from
-// historical trips (Sections 3.1-3.2) — construction assembles a mutable
-// Digraph, freezes it into the CSR CompactGraph, and discards the mutable
-// form — then answer imputation queries (Sections 3.3-3.4) against the
-// frozen graph.
+// historical trips (Sections 3.1-3.2) — construction assembles the
+// transition graph straight into the CSR CompactGraph — then answer
+// imputation queries (Sections 3.3-3.4) against the frozen graph.
 //
 //   habit::core::HabitConfig config;            // r, p, t, ...
 //   auto fw = habit::core::HabitFramework::Build(trips, config);
@@ -15,7 +14,6 @@
 #include "ais/ais.h"
 #include "core/status.h"
 #include "graph/compact_graph.h"
-#include "graph/digraph.h"
 #include "habit/config.h"
 #include "habit/imputer.h"
 
@@ -28,14 +26,10 @@ class HabitFramework {
   static Result<std::unique_ptr<HabitFramework>> Build(
       const std::vector<ais::Trip>& trips, const HabitConfig& config);
 
-  /// Wraps an already-built transition graph (e.g. loaded from CSV by
-  /// LoadGraphCsv); the graph is frozen and the mutable form discarded.
-  static Result<std::unique_ptr<HabitFramework>> FromGraph(
-      graph::Digraph graph, const HabitConfig& config);
-
   /// Wraps an already-frozen graph (e.g. loaded from a binary snapshot by
-  /// graph::LoadGraphSnapshot) — the O(read) cold-start path: no Digraph
-  /// rebuild, no re-freeze. The caller's config must describe how the
+  /// graph::LoadGraphSnapshot, or from CSV by LoadGraphCsv and frozen) —
+  /// the snapshot path is the O(read) cold start: no rebuild, no
+  /// re-freeze. The caller's config must describe how the
   /// graph was built (resolution, projection); edge weights are served
   /// from the snapshot verbatim.
   static Result<std::unique_ptr<HabitFramework>> FromFrozen(

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "graph/csr_assembler.h"
 #include "hexgrid/hexgrid.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/quantile.h"
@@ -274,11 +275,20 @@ Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
   return out;
 }
 
-Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
-                                            const db::Table& transition_stats,
-                                            const HabitConfig& config) {
-  graph::Digraph g;
+namespace {
 
+// The transition graph in sorted form, shared by both graph builds: node
+// ids ascending with aligned attribute columns, and edges ascending by
+// (src, dst) with their transition counts summed.
+struct GraphParts {
+  std::vector<graph::NodeId> node_ids;
+  graph::NodeColumns nodes;
+  std::vector<graph::CsrEdge> edges;
+};
+
+Result<GraphParts> BuildGraphParts(const db::Table& cell_stats,
+                                   const db::Table& transition_stats,
+                                   const HabitConfig& config) {
   HABIT_ASSIGN_OR_RETURN(const db::Column* cell_col,
                          cell_stats.GetColumn("cell"));
   HABIT_ASSIGN_OR_RETURN(const db::Column* cnt_col, cell_stats.GetColumn("cnt"));
@@ -292,19 +302,6 @@ Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
                          cell_stats.GetColumn("med_sog"));
   HABIT_ASSIGN_OR_RETURN(const db::Column* cog_col,
                          cell_stats.GetColumn("med_cog"));
-
-  for (size_t r = 0; r < cell_stats.num_rows(); ++r) {
-    const auto cell = static_cast<hex::CellId>(cell_col->GetInt(r));
-    graph::NodeAttrs attrs;
-    attrs.median_pos = geo::LatLng{lat_col->GetDouble(r), lon_col->GetDouble(r)};
-    attrs.center_pos = hex::CellToLatLng(cell);
-    attrs.message_count = cnt_col->GetInt(r);
-    attrs.distinct_vessels = vessels_col->GetInt(r);
-    attrs.median_sog = sog_col->GetDouble(r);
-    attrs.median_cog = cog_col->GetDouble(r);
-    g.AddNode(cell, attrs);
-  }
-
   HABIT_ASSIGN_OR_RETURN(const db::Column* lag_col,
                          transition_stats.GetColumn("lag_cell"));
   HABIT_ASSIGN_OR_RETURN(const db::Column* to_col,
@@ -314,11 +311,17 @@ Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
   HABIT_ASSIGN_OR_RETURN(const db::Column* dist_col,
                          transition_stats.GetColumn("grid_distance"));
 
-  // Accumulate transition counts per directed cell pair. With
-  // expand_transitions, a jump of grid distance g > 1 contributes its count
-  // to every consecutive pair along the hex grid path between the two
-  // cells (the discretization skipped those cells, not the vessel).
-  std::unordered_map<std::pair<uint64_t, uint64_t>, int64_t, PairHash> accum;
+  // One (src, dst, transitions) entry per directed cell pair a row names.
+  // With expand_transitions, a jump of grid distance g > 1 contributes its
+  // count to every consecutive pair along the hex grid path between the
+  // two cells (the discretization skipped those cells, not the vessel).
+  struct Pair {
+    hex::CellId src;
+    hex::CellId dst;
+    int64_t transitions;
+  };
+  std::vector<Pair> pairs;
+  pairs.reserve(transition_stats.num_rows());
   for (size_t r = 0; r < transition_stats.num_rows(); ++r) {
     const auto u = static_cast<hex::CellId>(lag_col->GetInt(r));
     const auto v = static_cast<hex::CellId>(to_col->GetInt(r));
@@ -330,49 +333,145 @@ Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
       if (path.ok() && path.value().size() >= 2) {
         const auto& cells = path.value();
         for (size_t i = 1; i < cells.size(); ++i) {
-          accum[{cells[i - 1], cells[i]}] += transitions;
+          pairs.push_back({cells[i - 1], cells[i], transitions});
         }
         continue;
       }
     }
-    accum[{u, v}] += transitions;
+    pairs.push_back({u, v, transitions});
   }
 
-  for (const auto& [pair, transitions] : accum) {
-    const auto [u, v] = pair;
-    // Intermediate cells materialized by the expansion carry no AIS
-    // statistics; give them their geometric center as the median position
-    // so the inverse projection stays well-defined.
-    for (const uint64_t cell : {u, v}) {
-      if (!g.HasNode(cell)) {
-        graph::NodeAttrs attrs;
-        attrs.center_pos = hex::CellToLatLng(cell);
-        attrs.median_pos = attrs.center_pos;
-        g.AddNode(cell, attrs);
-      }
+  // Sort once by (src, dst); each run of equal pairs becomes one edge
+  // carrying the run's total.
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  const auto same_pair = [](const Pair& a, const Pair& b) {
+    return a.src == b.src && a.dst == b.dst;
+  };
+  size_t runs = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || !same_pair(pairs[i - 1], pairs[i])) ++runs;
+  }
+  GraphParts parts;
+  std::vector<graph::CsrEdge>& edges = parts.edges;
+  edges.reserve(runs);
+  for (size_t i = 0; i < pairs.size();) {
+    graph::CsrEdge edge{pairs[i].src, pairs[i].dst, {}};
+    edge.attrs.transitions = pairs[i].transitions;
+    for (++i; i < pairs.size() && same_pair(pairs[i - 1], pairs[i]); ++i) {
+      edge.attrs.transitions += pairs[i].transitions;
     }
-    const auto dist = hex::GridDistance(u, v);
-    graph::EdgeAttrs attrs;
-    attrs.transitions = transitions;
-    attrs.grid_distance = dist.ok() ? dist.value() : 1;
-    attrs.weight = EdgeCost(config.edge_cost, transitions) *
-                   static_cast<double>(std::max<int64_t>(1, attrs.grid_distance));
-    g.AddEdge(u, v, attrs);
+    const auto dist = hex::GridDistance(edge.src, edge.dst);
+    edge.attrs.grid_distance = dist.ok() ? dist.value() : 1;
+    edge.attrs.weight =
+        EdgeCost(config.edge_cost, edge.attrs.transitions) *
+        static_cast<double>(std::max<int64_t>(1, edge.attrs.grid_distance));
+    edges.push_back(edge);
+  }
+  pairs = {};
+
+  // Statistics rows by cell; for a cell listed twice the first row wins.
+  std::vector<std::pair<graph::NodeId, size_t>> stats_rows(
+      cell_stats.num_rows());
+  for (size_t r = 0; r < stats_rows.size(); ++r) {
+    stats_rows[r] = {static_cast<graph::NodeId>(cell_col->GetInt(r)), r};
+  }
+  std::sort(stats_rows.begin(), stats_rows.end());
+
+  // Nodes: the statistics cells plus every edge endpoint. The cells and
+  // the sources (edges come in source runs) are already ascending; only
+  // the targets need a sort before the three lists merge.
+  std::vector<graph::NodeId> targets(edges.size());
+  for (size_t e = 0; e < edges.size(); ++e) targets[e] = edges[e].dst;
+  std::sort(targets.begin(), targets.end());
+  std::vector<graph::NodeId> cells_and_sources;
+  cells_and_sources.reserve(stats_rows.size() + edges.size());
+  for (const auto& [cell, row] : stats_rows) cells_and_sources.push_back(cell);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (e == 0 || edges[e - 1].src != edges[e].src) {
+      cells_and_sources.push_back(edges[e].src);
+    }
+  }
+  std::inplace_merge(cells_and_sources.begin(),
+                     cells_and_sources.begin() + stats_rows.size(),
+                     cells_and_sources.end());
+  std::vector<graph::NodeId>& ids = parts.node_ids;
+  ids.resize(cells_and_sources.size() + targets.size());
+  std::merge(cells_and_sources.begin(), cells_and_sources.end(),
+             targets.begin(), targets.end(), ids.begin());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  ids.shrink_to_fit();  // the graph keeps this vector
+
+  parts.nodes.Reserve(ids.size());
+  size_t s = 0;
+  for (const graph::NodeId id : ids) {
+    graph::NodeAttrs attrs;
+    attrs.center_pos = hex::CellToLatLng(static_cast<hex::CellId>(id));
+    if (s < stats_rows.size() && stats_rows[s].first == id) {
+      const size_t r = stats_rows[s].second;
+      attrs.median_pos =
+          geo::LatLng{lat_col->GetDouble(r), lon_col->GetDouble(r)};
+      attrs.message_count = cnt_col->GetInt(r);
+      attrs.distinct_vessels = vessels_col->GetInt(r);
+      attrs.median_sog = sog_col->GetDouble(r);
+      attrs.median_cog = cog_col->GetDouble(r);
+      while (s < stats_rows.size() && stats_rows[s].first == id) ++s;
+    } else {
+      // Intermediate cells materialized by the expansion carry no AIS
+      // statistics; give them their geometric center as the median
+      // position so the inverse projection stays well-defined.
+      attrs.median_pos = attrs.center_pos;
+    }
+    parts.nodes.Append(attrs);
+  }
+  return parts;
+}
+
+}  // namespace
+
+Result<graph::CompactGraph> BuildCompactTransitionGraph(
+    const db::Table& cell_stats, const db::Table& transition_stats,
+    const HabitConfig& config) {
+  HABIT_ASSIGN_OR_RETURN(
+      GraphParts parts,
+      BuildGraphParts(cell_stats, transition_stats, config));
+  return graph::AssembleCsr(std::move(parts.node_ids), std::move(parts.nodes),
+                            parts.edges);
+}
+
+Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
+                                            const db::Table& transition_stats,
+                                            const HabitConfig& config) {
+  HABIT_ASSIGN_OR_RETURN(
+      const GraphParts parts,
+      BuildGraphParts(cell_stats, transition_stats, config));
+  graph::Digraph g;
+  for (size_t i = 0; i < parts.node_ids.size(); ++i) {
+    g.AddNode(parts.node_ids[i], parts.nodes.At(i));
+  }
+  for (const graph::CsrEdge& edge : parts.edges) {
+    g.AddEdge(edge.src, edge.dst, edge.attrs);
   }
   return g;
 }
 
-Result<graph::Digraph> BuildGraphFromTrips(const std::vector<ais::Trip>& trips,
-                                           const HabitConfig& config) {
+Result<graph::CompactGraph> BuildGraphFromTrips(
+    const std::vector<ais::Trip>& trips, const HabitConfig& config) {
   if (config.resolution < 0 || config.resolution > hex::kMaxResolution) {
     return Status::InvalidArgument("resolution out of range");
   }
-  const db::Table ais_table = TripsToTable(trips, config.resolution);
-  HABIT_ASSIGN_OR_RETURN(db::Table cell_stats,
-                         ComputeCellStats(ais_table, config));
-  HABIT_ASSIGN_OR_RETURN(db::Table transition_stats,
-                         ComputeTransitionStats(ais_table, config));
-  return BuildTransitionGraph(cell_stats, transition_stats, config);
+  db::Table cell_stats;
+  db::Table transition_stats;
+  {
+    // Scoped so the AIS table is freed before the assembly allocates: the
+    // two never need to be resident together.
+    const db::Table ais_table = TripsToTable(trips, config.resolution);
+    HABIT_ASSIGN_OR_RETURN(cell_stats, ComputeCellStats(ais_table, config));
+    HABIT_ASSIGN_OR_RETURN(transition_stats,
+                           ComputeTransitionStats(ais_table, config));
+  }
+  return BuildCompactTransitionGraph(cell_stats, transition_stats, config);
 }
 
 }  // namespace habit::core

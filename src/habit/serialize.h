@@ -3,8 +3,8 @@
 // minidb. The on-disk artifact is exactly what Table 2 of the paper sizes.
 //
 // Saving reads the frozen CompactGraph (what a built framework carries);
-// loading rebuilds the mutable Digraph, which the caller freezes (e.g. via
-// HabitFramework::FromGraph) before serving queries.
+// loading rebuilds the mutable Digraph, which the caller freezes (and may
+// wrap with HabitFramework::FromFrozen) before serving queries.
 #pragma once
 
 #include <memory>

@@ -17,6 +17,7 @@
 #include <unordered_set>
 
 #include "core/rng.h"
+#include "graph/csr_assembler.h"
 #include "graph/digraph.h"
 #include "graph/shortest_path.h"
 #include "graph/snapshot.h"
@@ -150,6 +151,96 @@ TEST(CompactGraphTest, FreezePreservesNodesEdgesAndAttrs) {
 
   EXPECT_EQ(frozen.IndexOf(12345), kInvalidNodeIndex);  // id not inserted
   EXPECT_FALSE(frozen.GetNode(12345).ok());
+}
+
+// Freeze pinned array by array on a graph whose edges were replaced by a
+// later AddEdge (last write wins, no duplicate row entry) and that has
+// isolated nodes, added explicitly or never touched by an edge.
+TEST(CompactGraphTest, FreezeKeepsTheLastEdgeWriteAndIsolatedNodes) {
+  Digraph g;
+  NodeAttrs busy;
+  busy.message_count = 11;
+  busy.median_pos = {54.5, 10.5};
+  busy.center_pos = {54.4, 10.4};
+  NodeAttrs lonely;
+  lonely.message_count = 3;
+  lonely.median_sog = 6.5;
+  g.AddNode(50, busy);
+  g.AddNode(7, lonely);  // never an endpoint
+  g.AddEdge(30, 10, EdgeAttrs{1.0, 1, 1});
+  g.AddEdge(30, 50, EdgeAttrs{2.0, 2, 1});
+  g.AddEdge(10, 30, EdgeAttrs{3.0, 3, 2});
+  g.AddEdge(30, 10, EdgeAttrs{4.0, 9, 3});  // replaces the first write
+  g.AddEdge(50, 10, EdgeAttrs{5.0, 5, 1});
+  g.AddNode(99);
+  g.AddNode(50, NodeAttrs{});  // no-op: 50 keeps its attributes
+  ASSERT_EQ(g.num_edges(), 4u);
+
+  for (const bool keep_attrs : {true, false}) {
+    SCOPED_TRACE(keep_attrs ? "attrs" : "topology");
+    const CompactGraph f = g.Freeze(keep_attrs);
+    ASSERT_EQ(f.num_nodes(), 5u);
+    ASSERT_EQ(f.num_edges(), 4u);
+    EXPECT_EQ(f.has_attrs(), keep_attrs);
+    const std::vector<NodeId> ids = {7, 10, 30, 50, 99};
+    const std::vector<std::vector<NodeIndex>> rows = {{}, {2}, {1, 3}, {1}, {}};
+    const std::vector<std::vector<double>> weights = {
+        {}, {3.0}, {4.0, 2.0}, {5.0}, {}};
+    const std::vector<uint32_t> in_degree = {0, 2, 1, 1, 0};
+    for (NodeIndex u = 0; u < ids.size(); ++u) {
+      EXPECT_EQ(f.IdOf(u), ids[u]);
+      const auto nbrs = f.OutNeighbors(u);
+      const auto ws = f.OutWeights(u);
+      EXPECT_EQ(std::vector<NodeIndex>(nbrs.begin(), nbrs.end()), rows[u]);
+      EXPECT_EQ(std::vector<double>(ws.begin(), ws.end()), weights[u]);
+      EXPECT_EQ(f.InDegree(u), in_degree[u]);
+    }
+    const EdgeAttrs replaced = f.GetEdge(30, 10).value();
+    EXPECT_EQ(replaced.weight, 4.0);
+    EXPECT_EQ(replaced.transitions, keep_attrs ? 9 : 0);
+    EXPECT_EQ(replaced.grid_distance, keep_attrs ? 3 : 0);
+    if (keep_attrs) {
+      EXPECT_EQ(f.GetNode(50).value().message_count, 11);
+      EXPECT_EQ(f.GetNode(50).value().center_pos, (geo::LatLng{54.4, 10.4}));
+      EXPECT_EQ(f.GetNode(7).value().median_sog, 6.5);
+      EXPECT_EQ(f.GetNode(99).value().message_count, 0);
+    }
+  }
+}
+
+// The assembler refuses input that breaks its rules instead of laying out
+// a corrupt CSR.
+TEST(CompactGraphTest, AssembleCsrRejectsInputOutOfOrder) {
+  const auto columns = [](size_t n) {
+    NodeColumns nodes;
+    for (size_t i = 0; i < n; ++i) nodes.Append(NodeAttrs{});
+    return nodes;
+  };
+  const std::vector<CsrEdge> edges = {{1, 2, {}}, {1, 3, {}}, {3, 1, {}}};
+  ASSERT_TRUE(AssembleCsr({1, 2, 3}, columns(3), edges).ok());
+  ASSERT_TRUE(AssembleCsr({1, 2, 3}, NodeColumns{}, edges).ok());
+  const auto code = [&](std::vector<NodeId> ids, NodeColumns nodes,
+                        std::vector<CsrEdge> es) {
+    return AssembleCsr(std::move(ids), std::move(nodes), es).status().code();
+  };
+  EXPECT_EQ(code({1, 3, 2}, columns(3), edges), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 1, 3}, columns(3), edges), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(2), edges), StatusCode::kInvalidArgument);
+  NodeColumns ragged = columns(3);
+  ragged.median_cog.pop_back();
+  EXPECT_EQ(code({1, 2, 3}, ragged, edges), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(3), {{1, 3, {}}, {1, 2, {}}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(3), {{1, 2, {}}, {1, 2, {}}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(3), {{1, 4, {}}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(3), {{0, 1, {}}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({1, 2, 3}, columns(3), {{5, 1, {}}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code({}, NodeColumns{}, {{1, 2, {}}}),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CompactGraphTest, DijkstraAndAStarMatchReference) {

@@ -304,13 +304,12 @@ TEST(FrameworkTest, StorageGrowsWithResolution) {
 TEST(SerializeTest, GraphRoundTripsThroughCsv) {
   const auto trips = MakeCorridorTrips(5, 80);
   HabitConfig config;
-  auto graph = BuildGraphFromTrips(trips, config).MoveValue();
+  const auto graph = BuildGraphFromTrips(trips, config).MoveValue();
 
   const std::string prefix =
       (std::filesystem::temp_directory_path() / "habit_serialize_test")
           .string();
-  const auto frozen = graph.Freeze();
-  ASSERT_TRUE(SaveGraphCsv(frozen, prefix).ok());
+  ASSERT_TRUE(SaveGraphCsv(graph, prefix).ok());
   auto loaded = LoadGraphCsv(prefix, config);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -347,11 +346,11 @@ TEST(SerializeTest, LoadRejectsEdgesWithUnknownEndpoints) {
   // could select. Corrupt files must fail the load instead.
   const auto trips = MakeCorridorTrips(3, 60);
   HabitConfig config;
-  auto graph = BuildGraphFromTrips(trips, config).MoveValue();
+  const auto graph = BuildGraphFromTrips(trips, config).MoveValue();
   const std::string prefix =
       (std::filesystem::temp_directory_path() / "habit_corrupt_edges")
           .string();
-  ASSERT_TRUE(SaveGraphCsv(graph.Freeze(), prefix).ok());
+  ASSERT_TRUE(SaveGraphCsv(graph, prefix).ok());
 
   // Append an edge whose destination is a valid-looking cell id that the
   // nodes table does not contain.
@@ -477,10 +476,9 @@ TEST(SerializeTest, ModelSnapshotEmbedsTheBuildConfiguration) {
 TEST(SerializeTest, NodeAndEdgeTablesHaveExpectedShape) {
   const auto trips = MakeCorridorTrips(3, 50);
   HabitConfig config;
-  auto graph = BuildGraphFromTrips(trips, config).MoveValue();
-  const auto frozen = graph.Freeze();
-  const db::Table nodes = GraphNodesToTable(frozen);
-  const db::Table edges = GraphEdgesToTable(frozen);
+  const auto graph = BuildGraphFromTrips(trips, config).MoveValue();
+  const db::Table nodes = GraphNodesToTable(graph);
+  const db::Table edges = GraphEdgesToTable(graph);
   EXPECT_EQ(nodes.num_rows(), graph.num_nodes());
   EXPECT_EQ(edges.num_rows(), graph.num_edges());
   EXPECT_EQ(nodes.schema().FieldIndex("med_lon"), 1);

@@ -1,6 +1,6 @@
 // Tests for the sketch module: HyperLogLog error bounds, merge algebra and
 // sparse-vs-dense bit equality, P^2 quantile estimation accuracy, exact
-// median, reservoir sampling.
+// median.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "core/rng.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/quantile.h"
-#include "sketch/reservoir.h"
 
 namespace habit::sketch {
 namespace {
@@ -168,27 +167,6 @@ TEST(P2QuantileTest, SmallSamplesAreExact) {
   EXPECT_NEAR(est.Estimate(), 15, 1e-9);
   P2Quantile empty(0.5);
   EXPECT_TRUE(std::isnan(empty.Estimate()));
-}
-
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  Reservoir<int> res(10, 3);
-  for (int i = 0; i < 5; ++i) res.Add(i);
-  EXPECT_EQ(res.items().size(), 5u);
-  EXPECT_EQ(res.seen(), 5u);
-}
-
-TEST(ReservoirTest, CapsAtCapacityAndSamplesUniformly) {
-  // Each item should be retained with probability capacity/N; check the
-  // mean of retained values is near the stream mean.
-  const size_t capacity = 500;
-  Reservoir<int> res(capacity, 11);
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) res.Add(i);
-  EXPECT_EQ(res.items().size(), capacity);
-  double mean = 0;
-  for (int v : res.items()) mean += v;
-  mean /= static_cast<double>(capacity);
-  EXPECT_NEAR(mean, n / 2.0, n * 0.05);
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

@@ -37,6 +37,12 @@ rule name is shown in the violation message):
                sketch/hyperloglog.{h,cc}. The dense and sparse estimators
                share it there, which is what keeps them bit-identical; a
                copy elsewhere is how approx_count_distinct results drift.
+  csr-home     CompactGraph::Arrays and FromOwned (the owned CSR
+               backing and its adoption) appear ONLY in
+               graph/compact_graph.{h,cc}, graph/csr_assembler.{h,cc} and
+               graph/snapshot.cc (the copying loader). AssembleCsr is the
+               one in-process assembly path; a second one is how layouts
+               drift (row order, in-degrees, attribute alignment).
   socket-io    Raw ::recv/::send/::read/::write (and the *msg/*from
                variants) only inside src/server/transport.cc, frame.cc,
                and line_client.h. Everything else goes through
@@ -64,6 +70,9 @@ RNG_EXEMPT = {"src/core/rng.h"}
 PARSE_EXEMPT = {"src/core/parse.h"}
 SNAPSHOT_CONST_HOME = {"src/graph/snapshot.h", "src/graph/snapshot.cc"}
 HLL_HOME = {"src/sketch/hyperloglog.h", "src/sketch/hyperloglog.cc"}
+CSR_HOME = {"src/graph/compact_graph.h", "src/graph/compact_graph.cc",
+            "src/graph/csr_assembler.h", "src/graph/csr_assembler.cc",
+            "src/graph/snapshot.cc"}
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
                   "src/server/line_client.h"}
 
@@ -233,6 +242,20 @@ class Linter:
                 "EstimateSparse instead of re-deriving it",
                 raw_lines)
 
+    def check_csr_home(self, path: Path, rel: str, code: str,
+                       raw_lines: list[str]) -> None:
+        if rel in CSR_HOME:
+            return
+        for m in re.finditer(r"\bCompactGraph\s*::\s*Arrays\b|\bFromOwned\b",
+                             code):
+            line_no = code.count("\n", 0, m.start()) + 1
+            self.report(
+                path, line_no, "csr-home",
+                "CSR arrays are filled only by graph::AssembleCsr "
+                "(graph/csr_assembler.h) and the snapshot loader; build "
+                "sorted nodes and edges and call AssembleCsr instead",
+                raw_lines)
+
     def check_socket_io(self, path: Path, rel: str, code: str,
                         raw_lines: list[str]) -> None:
         if rel in SOCKET_IO_HOME:
@@ -328,6 +351,7 @@ class Linter:
         self.check_graph_function(path, rel, code, raw_lines)
         self.check_snapshot_constants(path, rel, code, raw_lines)
         self.check_hll_home(path, rel, code, raw_lines)
+        self.check_csr_home(path, rel, code, raw_lines)
         self.check_socket_io(path, rel, code, raw_lines)
         self.check_bench_metric(path, text, raw_lines)
 
