@@ -1,5 +1,12 @@
 #include "api/epoch.h"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sys/resource.h>
+#endif
+
+#include <algorithm>
+#include <cerrno>
 #include <unordered_set>
 #include <utility>
 
@@ -12,6 +19,22 @@ using Clock = std::chrono::steady_clock;
 std::chrono::nanoseconds SecondsToNanos(double seconds) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(seconds));
+}
+
+/// Names the calling thread "epoch-builder" (top -H, /proc) and lowers
+/// its priority by `nice_increment`. Best effort: a refused change leaves
+/// the thread at its inherited priority.
+void BecomeBackgroundBuilder(int nice_increment) {
+#ifdef __linux__
+  (void)pthread_setname_np(pthread_self(), "epoch-builder");
+  // PRIO_PROCESS with who = 0 is the calling thread on Linux.
+  errno = 0;
+  const int current = getpriority(PRIO_PROCESS, 0);
+  if (errno != 0) return;
+  (void)setpriority(PRIO_PROCESS, 0, std::min(current + nice_increment, 19));
+#else
+  (void)nice_increment;
+#endif
 }
 
 }  // namespace
@@ -177,6 +200,7 @@ EpochPipeline::Stats EpochPipeline::stats() const {
 }
 
 void EpochPipeline::BuilderMain() {
+  BecomeBackgroundBuilder(kBuilderNice);
   while (true) {
     std::vector<ais::Trip> delta;
     std::shared_ptr<const std::vector<ais::Trip>> base;

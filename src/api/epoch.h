@@ -29,8 +29,13 @@
 //     re-freeze entry point for group-by aggregates).
 //
 // All shared state is GUARDED_BY(mu_); the builds themselves run
-// unlocked on the builder thread, so ingest and serving proceed at full
-// speed while an epoch is being frozen.
+// unlocked on the builder thread, so ingest and serving proceed while an
+// epoch is being frozen. The builder runs at a lowered CPU priority
+// (kBuilderNice, the background-compaction idiom): where it shares a CPU
+// with request workers, a rebuild takes a small share plus the time the
+// workers leave idle, instead of half of every request that overlaps
+// it, so read latency does not depend on whether a rollover is running.
+// With a free CPU the rebuild runs at full speed.
 #pragma once
 
 #include <chrono>
@@ -74,6 +79,13 @@ class EpochPipeline {
     /// many pending bytes is refused until an epoch drains the backlog.
     size_t max_pending_bytes = 1ull << 30;
   };
+
+  /// Nice increment the builder thread applies to itself (capped at 19).
+  /// Linux keeps one nice value per thread, so only the builder is
+  /// lowered; elsewhere the builder keeps its creator's priority. At 10,
+  /// a rebuild competing with one busy request thread gets about a tenth
+  /// of the CPU.
+  static constexpr int kBuilderNice = 10;
 
   struct Stats {
     uint64_t epoch = 0;

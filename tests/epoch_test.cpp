@@ -7,6 +7,14 @@
 // on both the JSON and binary protocols.
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/resource.h>
+
+#include <filesystem>
+#include <fstream>
+#endif
+
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -341,6 +349,49 @@ TEST(EpochPipelineTest, RejectsArtifactAndConcurrencyParams) {
         << spec;
   }
 }
+
+#ifdef __linux__
+// The nice value of the thread named "epoch-builder", polled until it
+// equals `want` or 10 s pass (the builder sets its own priority once it
+// starts); -100 when no such thread shows up.
+int PollBuilderNice(int want) {
+  int seen = -100;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream comm(task.path() / "comm");
+      std::string name;
+      if (!std::getline(comm, name) || name != "epoch-builder") continue;
+      std::ifstream stat_file(task.path() / "stat");
+      std::string stat;
+      std::getline(stat_file, stat);
+      // Fields after the ")" closing comm start at field 3; nice is 19.
+      std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+      std::string field;
+      for (int i = 3; i <= 19; ++i) fields >> field;
+      seen = std::stoi(field);
+      if (seen == want) return seen;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
+  return seen;
+}
+
+TEST(EpochPipelineTest, BuilderThreadRunsAtLoweredPriority) {
+  const int own = getpriority(PRIO_PROCESS, 0);
+  api::ModelCache cache(1ull << 30);
+  api::EpochPipeline::Options options;
+  options.spec = "habit:r=9";
+  auto pipeline = api::EpochPipeline::Make(&cache, options, {});
+  ASSERT_TRUE(pipeline.ok());
+  const int want = std::min(own + api::EpochPipeline::kBuilderNice, 19);
+  EXPECT_EQ(PollBuilderNice(want), want);
+  // The caller's own priority is untouched.
+  EXPECT_EQ(getpriority(PRIO_PROCESS, 0), own);
+}
+#endif
 
 // ---------------------------------------------------------------------
 // Server surface: the `ingest`/`rollover` ops over both protocols.
