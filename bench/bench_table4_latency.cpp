@@ -5,8 +5,10 @@
 // sub-second maxima; GTI is consistently slower (hundreds of ms to
 // seconds), worst on SAR.
 //
-// Also measures ImputeBatch scaling over the `threads` registry parameter
-// (one flat search scratch per worker against the shared frozen graph).
+// Also measures batch scaling of the server's worker pool (one binary
+// impute_batch frame through an in-process server at 1, 2 and 4 workers,
+// one flat search scratch per chunk against the shared frozen graph), and
+// ALT landmark search against the plain search on ~2,000 seeded gaps.
 //
 // Machine-readable results are emitted as `BENCH_METRIC {json}` lines,
 // which bench/run_all.sh folds into its per-bench JSON output so latency
@@ -18,10 +20,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/stopwatch.h"
 #include "eval/harness.h"
 #include "eval/report.h"
 #include "geo/latlng.h"
+#include "server/frame.h"
+#include "server/server.h"
+#include "sim/gaps.h"
 
 namespace {
 
@@ -42,7 +48,7 @@ double Percentile(std::vector<double> values, double p) {
 
 // Gap-length buckets (haversine between the gap endpoints, km). The last
 // edge is an open upper bound.
-constexpr double kBucketEdgesKm[] = {0, 2, 5, 10, 20, 50, 1e9};
+constexpr double kBucketEdgesKm[] = {0, 5, 10, 20, 40, 80, 1e9};
 constexpr size_t kNumBuckets = std::size(kBucketEdgesKm) - 1;
 
 std::string BucketLabel(size_t b) {
@@ -53,26 +59,145 @@ std::string BucketLabel(size_t b) {
          std::to_string(static_cast<int>(kBucketEdgesKm[b + 1]));
 }
 
+size_t BucketOf(const habit::api::ImputeRequest& request) {
+  const double km = habit::geo::HaversineMeters(request.gap_start,
+                                                request.gap_end) / 1000.0;
+  size_t b = 0;
+  while (b + 1 < kNumBuckets && km >= kBucketEdgesKm[b + 1]) ++b;
+  return b;
+}
+
+// Batch scaling of the one batch scheduler: an in-process server whose
+// worker pool has 1, 2 and 4 workers answers the same binary impute_batch
+// frame (the eval gaps tiled to 512 queries). The server splits the frame
+// into static contiguous chunks, one serial ImputeBatch per worker.
+void RunBatchScalingSection(const habit::eval::Experiment& exp) {
+  using namespace habit;
+  const std::vector<api::ImputeRequest> gap_requests = eval::GapRequests(exp);
+  if (gap_requests.empty()) {
+    std::printf("\nno gaps prepared; skipping batch-scaling section\n");
+    return;
+  }
+  const std::string snapshot_path =
+      (std::filesystem::temp_directory_path() / "bench_table4_batch.snap")
+          .string();
+  if (auto built = api::MakeModel("habit:r=9,save=" + snapshot_path,
+                                  exp.train_trips);
+      !built.ok()) {
+    std::printf("\nbatch-scaling section skipped (snapshot build): %s\n",
+                built.status().ToString().c_str());
+    return;
+  }
+  constexpr size_t kBatch = 512;
+  server::Request request;
+  request.op = server::Request::Op::kImputeBatch;
+  request.model = "habit:load=" + snapshot_path;
+  for (size_t i = 0; i < kBatch; ++i) {
+    request.requests.push_back(gap_requests[i % gap_requests.size()]);
+  }
+  const std::string frame = server::frame::EncodeRequestFrame(request);
+  const std::string_view payload =
+      std::string_view(frame).substr(server::frame::kHeaderBytes);
+
+  // Wall time of one frame is ~0.1 s, so keep the fastest of a few sends
+  // (the model is resolved before the first one).
+  constexpr int kReps = 5;
+  std::printf("\nBatch scaling (KIEL, one impute_batch frame of %zu "
+              "queries, %s, in-process server; best of %d; %u hardware "
+              "threads)\n", kBatch, request.model.c_str(), kReps,
+              std::thread::hardware_concurrency());
+  double serial_wall = 0.0;
+  std::string serial_reply;
+  for (const int workers : {1, 2, 4}) {
+    server::ServerOptions options;
+    options.threads = workers;
+    server::Server server(options);
+    api::MethodSpec spec = api::MethodSpec::Parse(request.model).MoveValue();
+    if (auto model = server.Resolve(spec); !model.ok()) {
+      std::printf("  %s failed: %s\n", request.model.c_str(),
+                  model.status().ToString().c_str());
+      break;
+    }
+    double wall = 1e300;
+    std::string reply;
+    for (int rep = 0; rep < kReps; ++rep) {
+      Stopwatch sw;
+      reply = server.HandleFrame(payload);
+      wall = std::min(wall, sw.ElapsedSeconds());
+    }
+    auto decoded = server::frame::DecodeResponsePayload(
+        std::string_view(reply).substr(server::frame::kHeaderBytes));
+    if (!decoded.ok() ||
+        decoded.value().tag != server::frame::ResponseTag::kResults) {
+      std::printf("  workers=%d: the frame was not answered with results\n",
+                  workers);
+      break;
+    }
+    if (workers == 1) {
+      serial_wall = wall;
+      serial_reply = reply;
+    }
+    const double speedup = wall > 0 ? serial_wall / wall : 0.0;
+    std::printf("  workers=%d  wall=%.3fs  %.0f queries/s  speedup=%.2fx  "
+                "reply %s\n", workers, wall,
+                static_cast<double>(kBatch) / wall, speedup,
+                reply == serial_reply ? "identical" : "DIFFERS");
+    std::printf(
+        "BENCH_METRIC {\"metric\":\"batch_scaling\",\"dataset\":\"KIEL\","
+        "\"spec\":\"%s\",\"threads\":%d,\"hw_threads\":%u,\"n\":%zu,"
+        "\"reps\":%d,\"wall_s\":%.4f,\"speedup\":%.3f}\n",
+        request.model.c_str(), workers, std::thread::hardware_concurrency(),
+        kBatch, kReps, wall, speedup);
+  }
+  std::remove(snapshot_path.c_str());
+}
+
+// Gaps for the long-gap section, drawn like the repo benchmark's
+// kiel-r10-long workload: 30 seeded placements per held-out trip at each
+// of the paper's gap durations (Fig. 7).
+std::vector<habit::api::ImputeRequest> DrawLongGapRequests(
+    const habit::eval::Experiment& exp, uint64_t seed) {
+  using namespace habit;
+  constexpr int kPlacements = 30;
+  Rng rng(seed);
+  std::vector<api::ImputeRequest> requests;
+  for (const ais::Trip& trip : exp.test_trips) {
+    for (const int minutes : {15, 30, 60, 120, 240}) {
+      sim::GapOptions options;
+      options.gap_seconds = int64_t{minutes} * 60;
+      for (int k = 0; k < kPlacements; ++k) {
+        const std::optional<sim::GapCase> gap =
+            sim::InjectGap(trip, options, &rng);
+        if (!gap) continue;
+        api::ImputeRequest request;
+        request.gap_start = gap->gap_start.pos;
+        request.gap_end = gap->gap_end.pos;
+        request.t_start = gap->gap_start.ts;
+        request.t_end = gap->gap_end.ts;
+        request.vessel_type = trip.type;
+        requests.push_back(request);
+      }
+    }
+  }
+  return requests;
+}
+
 // Per-gap-distance latency of ALT landmark search vs the zero-heuristic
 // baseline, over the same loaded snapshot. The two modes return identical
 // imputations (the ALT replay reproduces the baseline byte for byte, see
-// graph/landmarks.h); this section measures how much search effort the
-// landmark corridor removes, bucketed by gap length — the paper's
-// long-gap regime is where the heuristic has room to pay off.
-void RunLongGapSection() {
+// graph/landmarks.h; checked below); this section measures how much
+// search effort the landmark corridor removes, bucketed by gap length —
+// the paper's long-gap regime is where the heuristic has room to pay off.
+//
+// Host drift between two back-to-back blocks moves a block-vs-block
+// ratio by tens of percent, so the modes alternate on every repetition
+// (which one runs first alternates too) and each query keeps its fastest
+// time per mode.
+void RunLongGapSection(const habit::eval::Experiment& exp) {
   using namespace habit;
-  eval::ExperimentOptions options;
-  options.scale = 1.0;
-  options.seed = 42;
-  options.sampler.report_interval_s = 10.0;
-  auto prepared = eval::PrepareExperiment("KIEL", options);
-  if (!prepared.ok()) {
-    std::printf("\nlong-gap section skipped: %s\n",
-                prepared.status().ToString().c_str());
-    return;
-  }
-  const eval::Experiment& exp = prepared.value();
-  const std::vector<api::ImputeRequest> requests = eval::GapRequests(exp);
+  constexpr uint64_t kGapSeed = 11;
+  const std::vector<api::ImputeRequest> requests =
+      DrawLongGapRequests(exp, kGapSeed);
   if (requests.empty()) {
     std::printf("\nno gaps prepared; skipping long-gap section\n");
     return;
@@ -84,21 +209,20 @@ void RunLongGapSection() {
   // r=10: the fine-resolution graph is where long gaps hurt — search
   // balls of tens of thousands of nodes — and therefore where the
   // landmark corridor has room to pay. The coarser r=9 queries of the
-  // sections above spend most of their time outside the search.
-  {
-    auto built = api::MakeModel(
-        "habit:r=10,landmarks=16,save=" + snapshot_path, exp.train_trips);
-    if (!built.ok()) {
-      std::printf("\nlong-gap section skipped (snapshot build): %s\n",
-                  built.status().ToString().c_str());
-      return;
-    }
+  // sections above spend most of their time outside the search. Eight
+  // landmarks cut expansions as much as sixteen (~2x) at a lower
+  // per-node bound cost, and ran faster on every >=20 km bucket.
+  constexpr int kLandmarks = 8;
+  if (auto built = api::MakeModel("habit:r=10,landmarks=" +
+                                      std::to_string(kLandmarks) +
+                                      ",save=" + snapshot_path,
+                                  exp.train_trips);
+      !built.ok()) {
+    std::printf("\nlong-gap section skipped (snapshot build): %s\n",
+                built.status().ToString().c_str());
+    return;
   }
-
-  std::printf("\nLong-gap latency by gap length (KIEL, %zu gaps, r=10, "
-              "landmarks=16): alt=0 vs alt=1\n", requests.size());
-  // p50 per bucket per mode, for the speedup summary: [mode][bucket].
-  double p50[2][kNumBuckets] = {};
+  std::unique_ptr<api::ImputationModel> models[2];
   for (const int alt : {0, 1}) {
     const std::string spec = "habit:load=" + snapshot_path +
                              (alt != 0 ? ",alt=1" : "");
@@ -106,34 +230,64 @@ void RunLongGapSection() {
     if (!model.ok()) {
       std::printf("  %s failed: %s\n", spec.c_str(),
                   model.status().ToString().c_str());
+      std::remove(snapshot_path.c_str());
       return;
     }
-    // Per-query latency is sub-millisecond, so a single pass is dominated
-    // by cache-warmup and scheduler noise (±15% run to run). Repeat the
-    // batch and keep each query's minimum — the steady-state latency.
-    constexpr int kReps = 5;
-    std::vector<double> query_seconds;
-    const auto responses = model.value()->ImputeBatch(requests,
-                                                      &query_seconds);
-    for (int rep = 1; rep < kReps; ++rep) {
+    models[alt] = model.MoveValue();
+  }
+
+  constexpr int kReps = 6;
+  const size_t n = requests.size();
+  std::vector<Result<api::ImputeResponse>> responses[2];
+  std::vector<double> best_seconds[2] = {std::vector<double>(n, 1e300),
+                                         std::vector<double>(n, 1e300)};
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (const int mode : {rep % 2, 1 - rep % 2}) {
       std::vector<double> rep_seconds;
-      model.value()->ImputeBatch(requests, &rep_seconds);
-      for (size_t i = 0; i < query_seconds.size(); ++i) {
-        query_seconds[i] = std::min(query_seconds[i], rep_seconds[i]);
+      auto rep_responses = models[mode]->ImputeBatch(requests, &rep_seconds);
+      for (size_t i = 0; i < n; ++i) {
+        best_seconds[mode][i] = std::min(best_seconds[mode][i],
+                                          rep_seconds[i]);
       }
+      if (rep == 0) responses[mode] = std::move(rep_responses);
     }
+  }
+  size_t mismatches = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto& a = responses[0][i];
+    const auto& b = responses[1][i];
+    if (a.ok() != b.ok() ||
+        (a.ok() && (a.value().path != b.value().path ||
+                    a.value().timestamps != b.value().timestamps))) {
+      ++mismatches;
+    }
+  }
+
+  size_t bucket_n[kNumBuckets] = {};
+  size_t long_gaps = 0;
+  for (const api::ImputeRequest& request : requests) {
+    const size_t b = BucketOf(request);
+    ++bucket_n[b];
+    if (kBucketEdgesKm[b] >= 20) ++long_gaps;
+  }
+  std::printf("\nLong-gap latency by gap length (KIEL, %zu gaps, %zu of "
+              "them >=20 km, r=10, landmarks=%d, gap seed %llu): alt=0 vs "
+              "alt=1, interleaved, best of %d; responses %s (%zu differ)\n",
+              n, long_gaps, kLandmarks,
+              static_cast<unsigned long long>(kGapSeed), kReps,
+              mismatches == 0 ? "identical" : "DIFFER", mismatches);
+  // p50 and mean expansions per bucket per mode: [mode][bucket].
+  double p50[2][kNumBuckets] = {};
+  double expanded[2][kNumBuckets] = {};
+  for (const int alt : {0, 1}) {
     std::vector<std::vector<double>> bucket_seconds(kNumBuckets);
-    std::vector<double> bucket_expanded(kNumBuckets, 0.0);
     std::vector<size_t> bucket_ok(kNumBuckets, 0);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const double km = geo::HaversineMeters(requests[i].gap_start,
-                                             requests[i].gap_end) / 1000.0;
-      size_t b = 0;
-      while (b + 1 < kNumBuckets && km >= kBucketEdgesKm[b + 1]) ++b;
-      bucket_seconds[b].push_back(query_seconds[i]);
-      if (responses[i].ok()) {
-        bucket_expanded[b] += static_cast<double>(
-            responses[i].value().expanded);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t b = BucketOf(requests[i]);
+      bucket_seconds[b].push_back(best_seconds[alt][i]);
+      if (responses[alt][i].ok()) {
+        expanded[alt][b] +=
+            static_cast<double>(responses[alt][i].value().expanded);
         ++bucket_ok[b];
       }
     }
@@ -143,31 +297,33 @@ void RunLongGapSection() {
       if (bucket_seconds[b].empty()) continue;
       const double p50_s = Percentile(bucket_seconds[b], 0.50);
       const double p99_s = Percentile(bucket_seconds[b], 0.99);
-      const double mean_expanded =
-          bucket_ok[b] > 0 ? bucket_expanded[b] / bucket_ok[b] : 0.0;
+      if (bucket_ok[b] > 0) expanded[alt][b] /= bucket_ok[b];
       p50[alt][b] = p50_s;
       std::printf("         %-8s %8zu %12.3f %12.3f %14.0f\n",
-                  BucketLabel(b).c_str(), bucket_seconds[b].size(),
-                  p50_s * 1e3, p99_s * 1e3, mean_expanded);
+                  BucketLabel(b).c_str(), bucket_n[b],
+                  p50_s * 1e3, p99_s * 1e3, expanded[alt][b]);
       std::printf(
           "BENCH_METRIC {\"metric\":\"long_gap_latency\",\"dataset\":"
-          "\"KIEL\",\"alt\":%d,\"bucket_km\":\"%s\",\"count\":%zu,"
+          "\"KIEL\",\"alt\":%d,\"bucket_km\":\"%s\",\"n\":%zu,"
           "\"p50_s\":%.6f,\"p99_s\":%.6f,\"mean_expanded\":%.0f}\n",
-          alt, BucketLabel(b).c_str(), bucket_seconds[b].size(), p50_s,
-          p99_s, mean_expanded);
+          alt, BucketLabel(b).c_str(), bucket_n[b], p50_s,
+          p99_s, expanded[alt][b]);
     }
   }
-  std::printf("  p50 speedup (alt=0 / alt=1):");
+  std::printf("  alt=0 / alt=1 per bucket (p50 wall, mean expansions)\n");
   for (size_t b = 0; b < kNumBuckets; ++b) {
     if (p50[0][b] <= 0 || p50[1][b] <= 0) continue;
     const double speedup = p50[0][b] / p50[1][b];
-    std::printf("  %s: %.2fx", BucketLabel(b).c_str(), speedup);
+    const double expansion_ratio =
+        expanded[1][b] > 0 ? expanded[0][b] / expanded[1][b] : 0.0;
+    std::printf("         %-8s %.2fx wall, %.2fx expansions\n",
+                BucketLabel(b).c_str(), speedup, expansion_ratio);
     std::printf(
-        "\nBENCH_METRIC {\"metric\":\"long_gap_speedup\",\"dataset\":"
-        "\"KIEL\",\"bucket_km\":\"%s\",\"p50_speedup\":%.3f}",
-        BucketLabel(b).c_str(), speedup);
+        "BENCH_METRIC {\"metric\":\"long_gap_speedup\",\"dataset\":"
+        "\"KIEL\",\"bucket_km\":\"%s\",\"n\":%zu,\"p50_speedup\":%.3f,"
+        "\"expansion_ratio\":%.3f}\n",
+        BucketLabel(b).c_str(), bucket_n[b], speedup, expansion_ratio);
   }
-  std::printf("\n");
   std::remove(snapshot_path.c_str());
 }
 
@@ -204,56 +360,20 @@ int main() {
     }
   }
 
-  // Parallel-batch scaling: the gap set is tiled to a steady batch so the
-  // wall-clock speedup over the serial path is measurable.
   {
     eval::ExperimentOptions options;
     options.scale = 1.0;
     options.seed = 42;
     options.sampler.report_interval_s = 10.0;
-    auto exp = eval::PrepareExperiment("KIEL", options).MoveValue();
-    const std::vector<api::ImputeRequest> gap_requests =
-        eval::GapRequests(exp);
-    if (gap_requests.empty()) {
-      std::printf("\nno gaps prepared; skipping batch-scaling section\n");
-      return 0;
-    }
-    constexpr size_t kBatch = 512;
-    std::vector<api::ImputeRequest> batch;
-    batch.reserve(kBatch);
-    for (size_t i = 0; i < kBatch; ++i) {
-      batch.push_back(gap_requests[i % gap_requests.size()]);
-    }
-    std::printf("\nParallel ImputeBatch scaling (KIEL, %zu queries, "
-                "habit:r=9,threads=N; %u hardware threads)\n", batch.size(),
-                std::thread::hardware_concurrency());
-    double serial_wall = 0.0;
-    for (const int threads : {1, 2, 4, 8}) {
-      const std::string spec = "habit:r=9,threads=" + std::to_string(threads);
-      auto model = api::MakeModel(spec, exp.train_trips);
-      if (!model.ok()) {
-        std::printf("  %s failed: %s\n", spec.c_str(),
-                    model.status().ToString().c_str());
-        continue;
-      }
-      Stopwatch sw;
-      const auto responses = model.value()->ImputeBatch(batch, nullptr);
-      const double wall = sw.ElapsedSeconds();
-      if (threads == 1) serial_wall = wall;
-      const double speedup = wall > 0 ? serial_wall / wall : 0.0;
-      std::printf("  threads=%d  wall=%.3fs  %.0f queries/s  speedup=%.2fx\n",
-                  threads, wall,
-                  static_cast<double>(batch.size()) / wall, speedup);
-      std::printf(
-          "BENCH_METRIC {\"metric\":\"batch_scaling\",\"dataset\":\"KIEL\","
-          "\"spec\":\"%s\",\"threads\":%d,\"hw_threads\":%u,"
-          "\"wall_s\":%.4f,\"speedup\":%.3f}\n",
-          spec.c_str(), threads, std::thread::hardware_concurrency(), wall,
-          speedup);
+    auto prepared = eval::PrepareExperiment("KIEL", options);
+    if (prepared.ok()) {
+      RunBatchScalingSection(prepared.value());
+      RunLongGapSection(prepared.value());
+    } else {
+      std::printf("\nbatch-scaling and long-gap sections skipped: %s\n",
+                  prepared.status().ToString().c_str());
     }
   }
-
-  RunLongGapSection();
 
   std::printf("\npaper reference (KIEL): HABIT avg 0.019-0.071s; GTI avg "
               "0.26-0.40s. (SAR): HABIT 0.031-0.139s; GTI 0.49-1.22s\n");

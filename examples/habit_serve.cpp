@@ -6,9 +6,9 @@
 // through). Models are named per request by registry spec
 // ("habit:load=/models/kiel.snap,map=1"), resolved through the cache
 // (single-flight: concurrent cold requests pay one snapshot load), and
-// batches partition across a shared worker pool — one SearchScratch per
-// worker against the frozen graph, the in-process threads=N discipline
-// generalized across concurrent clients.
+// batches partition across a shared worker pool (--threads) — one
+// SearchScratch per worker against the frozen graph, shared by every
+// concurrent client.
 //
 //   habit_serve [--port N] [--cache-bytes N] [--threads N]
 //               [--max-batch N] [--preload SPEC]... [--stdin]

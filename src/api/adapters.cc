@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
-#include <thread>
 
 #include "baselines/sli.h"
 #include "core/stopwatch.h"
@@ -56,7 +55,7 @@ ImputeResponse ResponseFromImputation(core::Imputation imputation) {
 
 // Shared HABIT parameter block ("habit" and "habit_typed").
 const std::vector<std::string> kHabitKeys = {
-    "r", "p", "t", "cost", "expand", "snap", "threads"};
+    "r", "p", "t", "cost", "expand", "snap"};
 
 // Persistence spec parameters, shared by every snapshot-capable method:
 // "load=<path>" cold-starts the model from a binary snapshot (the trips
@@ -92,7 +91,7 @@ Result<bool> ParseMapped(const MethodSpec& spec) {
 // Snapshots embed the build configuration, so build parameters alongside
 // load= would be silently ignored — reject the combination instead so a
 // spec never aliases two different models. `serving_keys` lists parameters
-// that do NOT describe the build (e.g. habit's threads) and stay legal.
+// that do NOT describe the build (e.g. map=) and stay legal.
 Status RejectBuildParamsWithLoad(
     const MethodSpec& spec,
     const std::vector<std::string>& serving_keys = {}) {
@@ -109,32 +108,24 @@ Status RejectBuildParamsWithLoad(
   return Status::OK();
 }
 
-// Batch worker count from the spec ("habit:r=9,threads=8"); 1 = serial.
-Result<int> ParseThreads(const MethodSpec& spec) {
-  HABIT_ASSIGN_OR_RETURN(const int threads, spec.GetInt("threads", 1));
-  if (threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
-  return threads;
-}
-
-// Runs `impute_one(request, &scratch)` over every request — serially, or
-// partitioned across `threads` workers, each owning one flat SearchScratch
-// so the batch scales with no shared mutable state. Per-query wall times
-// land in `query_seconds` aligned with the requests.
+// Runs `impute_one(request, &scratch)` over every request, serially, with
+// one flat SearchScratch for the whole batch (generation stamps make the
+// per-query reset free). Per-query wall times land in `query_seconds`
+// aligned with the requests. Parallelism is the caller's business: the
+// server partitions a frame's batch across its WorkerPool, one call here
+// per chunk.
 //
 // Batch-level locality: requests are processed in ascending H3-cell order
 // of their gap start at the model's `resolution`. H3 indices order
 // hierarchically (a child shares its parent's bit prefix), so the sorted
-// sequence approximates a space-filling curve over the globe — each
-// worker's contiguous chunk lands in one geographic neighborhood, and its
+// sequence approximates a space-filling curve over the globe — successive
 // searches keep revisiting the same CSR rows and landmark columns instead
 // of striding the whole graph between queries. Responses and per-query
 // times are still written at their original indices, so the output order
 // is exactly the input order.
 template <typename ImputeOneFn>
 std::vector<Result<ImputeResponse>> RunImputeBatch(
-    std::span<const ImputeRequest> requests, int threads, int resolution,
+    std::span<const ImputeRequest> requests, int resolution,
     std::vector<double>* query_seconds, const ImputeOneFn& impute_one) {
   const size_t n = requests.size();
   std::vector<Result<ImputeResponse>> responses(
@@ -148,42 +139,22 @@ std::vector<Result<ImputeResponse>> RunImputeBatch(
     return hex::LatLngToCell(requests[a].gap_start, resolution) <
            hex::LatLngToCell(requests[b].gap_start, resolution);
   });
-  auto run_range = [&](size_t begin, size_t end) {
-    core::Imputer::SearchScratch scratch;
-    for (size_t pos = begin; pos < end; ++pos) {
-      const size_t i = order[pos];
-      Stopwatch sw;
-      const Status valid = ValidateRequest(requests[i]);
-      if (!valid.ok()) {
-        responses[i] = valid;
-        seconds[i] = sw.ElapsedSeconds();
-        continue;
-      }
-      auto imputation = impute_one(requests[i], &scratch);
-      if (imputation.ok()) {
-        responses[i] = ResponseFromImputation(imputation.MoveValue());
-      } else {
-        responses[i] = imputation.status();
-      }
+  core::Imputer::SearchScratch scratch;
+  for (const uint32_t i : order) {
+    Stopwatch sw;
+    const Status valid = ValidateRequest(requests[i]);
+    if (!valid.ok()) {
+      responses[i] = valid;
       seconds[i] = sw.ElapsedSeconds();
+      continue;
     }
-  };
-  // Cap the pool: more workers than queries is useless, and an absurd
-  // spec value must not exhaust OS threads (std::thread's constructor
-  // throws on failure, which would terminate mid-batch).
-  constexpr size_t kMaxBatchWorkers = 64;
-  const size_t workers = std::min(
-      {static_cast<size_t>(std::max(threads, 1)), std::max<size_t>(n, 1),
-       kMaxBatchWorkers});
-  if (workers <= 1) {
-    run_range(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(run_range, n * w / workers, n * (w + 1) / workers);
+    auto imputation = impute_one(requests[i], &scratch);
+    if (imputation.ok()) {
+      responses[i] = ResponseFromImputation(imputation.MoveValue());
+    } else {
+      responses[i] = imputation.status();
     }
-    for (std::thread& t : pool) t.join();
+    seconds[i] = sw.ElapsedSeconds();
   }
   if (query_seconds != nullptr) *query_seconds = std::move(seconds);
   return responses;
@@ -341,8 +312,7 @@ class PalmtoAdapter : public ImputationModel {
     std::unique_ptr<baselines::PalmtoModel> model;
     if (!load_path.empty()) {
       // timeout= and max_tokens= are per-query generation budgets, not
-      // build configuration — they stay overridable on a loaded model
-      // (like habit's threads=).
+      // build configuration — they stay overridable on a loaded model.
       HABIT_RETURN_NOT_OK(
           RejectBuildParamsWithLoad(spec, {"timeout", "max_tokens", kMapKey}));
       HABIT_ASSIGN_OR_RETURN(
@@ -448,7 +418,6 @@ Result<std::unique_ptr<ImputationModel>> HabitModel::Make(
   keys.insert(keys.end(), {kSaveKey, kLoadKey, kMapKey, kLandmarksKey,
                            kAltKey});
   HABIT_RETURN_NOT_OK(spec.CheckKnownKeys(keys));
-  HABIT_ASSIGN_OR_RETURN(const int threads, ParseThreads(spec));
   HABIT_ASSIGN_OR_RETURN(const bool mapped, ParseMapped(spec));
   const std::string load_path = spec.GetString(kLoadKey, "");
   const std::string save_path = spec.GetString(kSaveKey, "");
@@ -481,10 +450,9 @@ Result<std::unique_ptr<ImputationModel>> HabitModel::Make(
     // O(read) cold start — O(page-in) with map=1: the snapshot is
     // self-describing (build config + frozen CSR arrays), so build
     // parameters alongside load= are rejected — a spec must never serve a
-    // graph under a mismatched resolution or cost policy. threads=, map=,
-    // and alt= are serving parameters and stay legal.
-    HABIT_RETURN_NOT_OK(
-        RejectBuildParamsWithLoad(spec, {"threads", kMapKey, kAltKey}));
+    // graph under a mismatched resolution or cost policy. map= and alt=
+    // are serving parameters and stay legal.
+    HABIT_RETURN_NOT_OK(RejectBuildParamsWithLoad(spec, {kMapKey, kAltKey}));
     HABIT_ASSIGN_OR_RETURN(framework,
                            core::LoadModelSnapshot(load_path, mapped));
   } else {
@@ -502,7 +470,7 @@ Result<std::unique_ptr<ImputationModel>> HabitModel::Make(
     HABIT_RETURN_NOT_OK(core::SaveModelSnapshot(*framework, save_path));
   }
   auto model = std::unique_ptr<ImputationModel>(
-      new HabitModel(std::move(framework), threads));
+      new HabitModel(std::move(framework)));
   static_cast<HabitModel*>(model.get())->build_seconds_ =
       build_timer.ElapsedSeconds();
   return model;
@@ -526,7 +494,7 @@ std::vector<Result<ImputeResponse>> HabitModel::ImputeBatch(
     std::vector<double>* query_seconds) const {
   const core::Imputer& imputer = framework_->imputer();
   return RunImputeBatch(
-      requests, threads_, framework_->config().resolution, query_seconds,
+      requests, framework_->config().resolution, query_seconds,
       [&imputer](const ImputeRequest& request,
                  core::Imputer::SearchScratch* scratch) {
         return imputer.Impute(request.gap_start, request.gap_end,
@@ -545,14 +513,13 @@ Result<std::unique_ptr<ImputationModel>> TypedHabitModel::Make(
   if (min_trips < 1) {
     return Status::InvalidArgument("min_trips must be >= 1");
   }
-  HABIT_ASSIGN_OR_RETURN(const int threads, ParseThreads(spec));
   Stopwatch build_timer;
   HABIT_ASSIGN_OR_RETURN(
       auto framework,
       core::TypedHabitFramework::Build(trips, config,
                                        static_cast<size_t>(min_trips)));
   auto model = std::unique_ptr<ImputationModel>(new TypedHabitModel(
-      std::move(framework), HabitConfigurationString(config), threads));
+      std::move(framework), HabitConfigurationString(config)));
   static_cast<TypedHabitModel*>(model.get())->build_seconds_ =
       build_timer.ElapsedSeconds();
   return model;
@@ -591,7 +558,7 @@ std::vector<Result<ImputeResponse>> TypedHabitModel::ImputeBatch(
     std::vector<double>* query_seconds) const {
   const core::TypedHabitFramework& fw = *framework_;
   return RunImputeBatch(
-      requests, threads_, fw.combined().config().resolution, query_seconds,
+      requests, fw.combined().config().resolution, query_seconds,
       [&fw](const ImputeRequest& request,
             core::Imputer::SearchScratch* scratch) {
         return TypedImpute(fw, request, scratch);

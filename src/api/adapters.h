@@ -3,7 +3,7 @@
 // them into a ModelRegistry under their string keys:
 //
 //   "habit"        HabitFramework        r, p, t, cost, expand, snap,
-//                                        threads, save, load
+//                                        save, load
 //   "habit_typed"  TypedHabitFramework   habit params + min_trips
 //   "gti"          GtiModel              rm, rd, resample, save, load
 //   "palmto"       PalmtoModel           r, n, timeout, max_tokens, seed,
@@ -35,10 +35,11 @@ void RegisterBuiltinModels(ModelRegistry& registry);
 
 /// \brief "habit": adapter over core::HabitFramework.
 ///
-/// ImputeBatch runs every query against the frozen CSR graph with one flat
-/// search scratch per worker thread (spec parameter `threads`, default 1):
-/// the scratch's generation-stamped arrays make per-query reuse free, and
-/// the batch partitions across threads with no shared mutable state.
+/// ImputeBatch runs every query serially against the frozen CSR graph with
+/// one flat search scratch, whose generation-stamped arrays make per-query
+/// reuse free. Batches hold no shared mutable state, so a caller that
+/// wants parallelism (the server's WorkerPool) splits the batch and calls
+/// ImputeBatch once per chunk.
 class HabitModel : public ImputationModel {
  public:
   static Result<std::unique_ptr<ImputationModel>> Make(
@@ -59,11 +60,10 @@ class HabitModel : public ImputationModel {
   const core::HabitFramework& framework() const { return *framework_; }
 
  private:
-  HabitModel(std::unique_ptr<core::HabitFramework> framework, int threads)
-      : framework_(std::move(framework)), threads_(threads) {}
+  explicit HabitModel(std::unique_ptr<core::HabitFramework> framework)
+      : framework_(std::move(framework)) {}
 
   std::unique_ptr<core::HabitFramework> framework_;
-  int threads_ = 1;
 };
 
 /// \brief "habit_typed": adapter over core::TypedHabitFramework.
@@ -91,14 +91,12 @@ class TypedHabitModel : public ImputationModel {
 
  private:
   TypedHabitModel(std::unique_ptr<core::TypedHabitFramework> framework,
-                  std::string configuration, int threads)
+                  std::string configuration)
       : framework_(std::move(framework)),
-        configuration_(std::move(configuration)),
-        threads_(threads) {}
+        configuration_(std::move(configuration)) {}
 
   std::unique_ptr<core::TypedHabitFramework> framework_;
   std::string configuration_;
-  int threads_ = 1;
 };
 
 }  // namespace habit::api

@@ -43,16 +43,25 @@ Result<std::unique_ptr<EpochPipeline>> EpochPipeline::Make(
     ModelCache* cache, Options options, std::vector<ais::Trip> base) {
   HABIT_ASSIGN_OR_RETURN(MethodSpec spec, MethodSpec::Parse(options.spec));
   // The live spec is built from the cumulative trip set, every epoch.
-  // load= would ignore the trips (frozen artifact), save= would rewrite a
-  // file per epoch as a silent side effect, threads= nests pools — all
-  // the served-spec policy, enforced here too because the pipeline builds
-  // on its own thread, not through the server's request path.
-  for (const char* banned : {"load", "save", "threads"}) {
+  // load= would ignore the trips (frozen artifact) and save= would rewrite
+  // a file per epoch as a silent side effect, so both are refused here:
+  // the pipeline builds on its own thread, not through the server's
+  // request path.
+  for (const char* banned : {"load", "save"}) {
     if (spec.params.contains(banned)) {
       return Status::InvalidArgument(
           std::string(banned) +
           "= is not allowed in an ingest spec (live epochs are rebuilt "
           "from the cumulative trip set)");
+    }
+  }
+  // Every other check is the factory's own parsing, so a bad spec fails
+  // at startup, not at the first rollover. With no base trips a valid
+  // spec gets as far as the build, which refuses zero trips as NotFound.
+  if (base.empty()) {
+    auto probe = ModelRegistry::Global().Make(spec, {});
+    if (!probe.ok() && probe.status().code() != StatusCode::kNotFound) {
+      return probe.status();
     }
   }
   std::unique_ptr<EpochPipeline> pipeline(

@@ -66,9 +66,9 @@ class EpochPipeline {
  public:
   struct Options {
     /// The trips-built spec the builder pre-warms on every rollover
-    /// (load=/save=/threads= are rejected — live epochs are built from
-    /// trips, not artifacts). Other trips-built specs still resolve
-    /// against the current epoch, lazily, through the same cache.
+    /// (load=/save= are rejected — live epochs are built from trips, not
+    /// artifacts). Other trips-built specs still resolve against the
+    /// current epoch, lazily, through the same cache.
     std::string spec;
     /// Auto-rollover once this many trips are pending (0 = off).
     uint64_t epoch_trips = 0;

@@ -29,7 +29,7 @@ void BuildKdTree(const std::vector<geo::LatLng>& points,
 Result<std::unique_ptr<GtiModel>> GtiModel::Build(
     const std::vector<ais::Trip>& trips, const GtiConfig& config) {
   if (trips.empty()) {
-    return Status::InvalidArgument("cannot build GTI from zero trips");
+    return Status::NotFound("cannot build GTI from zero trips");
   }
   auto model = std::unique_ptr<GtiModel>(new GtiModel());
   model->config_ = config;

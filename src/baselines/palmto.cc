@@ -22,7 +22,7 @@ uint64_t PalmtoModel::ContextKey(const std::vector<hex::CellId>& window) {
 Result<std::unique_ptr<PalmtoModel>> PalmtoModel::Build(
     const std::vector<ais::Trip>& trips, const PalmtoConfig& config) {
   if (trips.empty()) {
-    return Status::InvalidArgument("cannot build PaLMTO from zero trips");
+    return Status::NotFound("cannot build PaLMTO from zero trips");
   }
   if (config.n < 2) {
     return Status::InvalidArgument("PaLMTO requires n >= 2");

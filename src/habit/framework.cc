@@ -14,7 +14,7 @@ HabitFramework::HabitFramework(graph::CompactGraph graph,
 Result<std::unique_ptr<HabitFramework>> HabitFramework::Build(
     const std::vector<ais::Trip>& trips, const HabitConfig& config) {
   if (trips.empty()) {
-    return Status::InvalidArgument("cannot build HABIT from zero trips");
+    return Status::NotFound("cannot build HABIT from zero trips");
   }
   HABIT_ASSIGN_OR_RETURN(graph::CompactGraph g,
                          BuildGraphFromTrips(trips, config));

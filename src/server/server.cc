@@ -175,16 +175,6 @@ Status CheckServedSpec(const api::MethodSpec& spec) {
     return Status::InvalidArgument(
         "save= is not allowed in a served model spec");
   }
-  // threads= is the *in-process* batch-parallelism knob; under the server
-  // the worker pool owns concurrency. Letting clients set it would nest
-  // thread pools (workers x threads searches per frame, unbounded by
-  // --threads) and key a distinct cache entry per value — an easy way to
-  // flood the byte budget with duplicate models.
-  if (spec.params.contains("threads")) {
-    return Status::InvalidArgument(
-        "threads= is not allowed in a served model spec (concurrency is "
-        "the server's --threads worker pool)");
-  }
   return Status::OK();
 }
 
@@ -482,22 +472,15 @@ std::vector<Result<api::ImputeResponse>> Server::DispatchBatch(
     if (query_seconds != nullptr) query_seconds->assign(n, 0.0);
     return failed;
   };
-  if (chunks <= 1) {
-    // Still runs on the pool: every search runs on a worker thread, so
-    // process-wide search concurrency is bounded by the pool size no
-    // matter how many connection threads exist.
-    std::vector<Result<api::ImputeResponse>> results;
-    const Status run = pool_.RunAll(
-        {[&] { results = model.ImputeBatch(requests, query_seconds); }});
-    if (!run.ok()) return fail_all(run);
-    return results;
-  }
   // Partition across workers, one serial sub-batch (and therefore one
   // SearchScratch, inside the adapter's ImputeBatch) per chunk. Queries
   // are independent, so chunked results concatenate to exactly the
   // single-call ImputeBatch output. Per-query wall times come from the
   // adapter's own measurement (the paper's Table 4 latency), stitched
-  // back into request order alongside the results.
+  // back into request order alongside the results. Even a one-chunk batch
+  // runs on the pool: every search runs on a worker thread, so
+  // process-wide search concurrency is bounded by the pool size no matter
+  // how many connection threads exist.
   std::vector<std::vector<Result<api::ImputeResponse>>> parts(chunks);
   std::vector<std::vector<double>> part_seconds(chunks);
   std::vector<std::function<void()>> tasks;

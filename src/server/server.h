@@ -5,11 +5,10 @@
 // snapshot load), resolves through the cache (single-flight: N concurrent
 // cold requests for one model pay one load), and answers Impute /
 // ImputeBatch. Batches partition across a shared worker pool — one
-// serial ImputeBatch chunk, and therefore one SearchScratch, per worker —
-// which generalizes the in-process `threads=N` discipline across
-// concurrent client connections: all connections feed the same pool, so
-// total search parallelism stays bounded by `ServerOptions::threads`
-// regardless of client count.
+// serial ImputeBatch chunk, and therefore one SearchScratch, per worker.
+// This pool is the process's only batch scheduler: all connections feed
+// it, so total search parallelism stays bounded by
+// `ServerOptions::threads` regardless of client count.
 //
 // Transports live in server/transport.h (LineTransport — shared with the
 // habit_route shard router): a loopback TCP epoll event loop (idle
@@ -107,8 +106,8 @@ class WorkerPool {
 /// The serving-surface spec policy, in ONE place (the request router and
 /// habit_serve's --preload both enforce it — a param banned here must be
 /// banned in both, or preload warms cache entries every request refuses):
-/// save= is a file-write side effect, threads= is in-process concurrency
-/// that would nest pools and key unbounded duplicate cache entries.
+/// save= is a file-write side effect. Unknown keys are left to the
+/// method's own factory, which rejects them on every surface.
 Status CheckServedSpec(const api::MethodSpec& spec);
 
 /// \brief Configuration for a Server.

@@ -192,10 +192,14 @@ TEST(RegistryTest, UnknownParameterIsInvalidArgument) {
   const auto trips = MakeTrips();
   for (const char* spec :
        {"habit:bogus=1", "habit_typed:bogus=1", "gti:bogus=1",
-        "palmto:bogus=1", "sli:bogus=1"}) {
+        "palmto:bogus=1", "sli:bogus=1", "habit:threads=2",
+        "habit_typed:threads=2"}) {
     auto model = MakeModel(spec, trips);
     ASSERT_FALSE(model.ok()) << spec;
     EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(model.status().message().find("has no parameter"),
+              std::string::npos)
+        << spec;
   }
 }
 
@@ -299,50 +303,6 @@ TEST(ApiTest, BatchMatchesSingleQueries) {
     EXPECT_EQ(single.value().timestamps, batch[i].value().timestamps);
     EXPECT_GT(query_seconds[i], 0.0);
   }
-}
-
-TEST(ApiTest, ParallelBatchMatchesSerialBatch) {
-  // The threads= spec parameter partitions the batch across workers (one
-  // search scratch each); results and alignment must be identical to the
-  // serial path, including per-query failures.
-  const auto trips = MakeTrips();
-  auto serial = MakeModel("habit:r=9,t=0", trips).MoveValue();
-  auto parallel = MakeModel("habit:r=9,t=0,threads=4", trips).MoveValue();
-
-  std::vector<ImputeRequest> requests;
-  for (int i = 0; i < 10; ++i) {
-    ImputeRequest req;
-    req.gap_start = {55.05 + 0.01 * i, 11.0};
-    req.gap_end = {55.15 + 0.02 * i, 11.0};
-    req.t_start = 1000000;
-    req.t_end = 1003600;
-    requests.push_back(req);
-  }
-  requests[4].gap_start = {40.0, -20.0};  // far off-data: must fail
-  requests[4].gap_end = {40.5, -20.0};
-
-  std::vector<double> serial_seconds, parallel_seconds;
-  const auto want = serial->ImputeBatch(requests, &serial_seconds);
-  const auto got = parallel->ImputeBatch(requests, &parallel_seconds);
-  ASSERT_EQ(got.size(), want.size());
-  ASSERT_EQ(parallel_seconds.size(), requests.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].ok(), want[i].ok()) << i;
-    EXPECT_GT(parallel_seconds[i], 0.0) << i;
-    if (!want[i].ok()) {
-      EXPECT_EQ(got[i].status().code(), want[i].status().code()) << i;
-      continue;
-    }
-    ASSERT_EQ(got[i].value().path.size(), want[i].value().path.size()) << i;
-    for (size_t j = 0; j < want[i].value().path.size(); ++j) {
-      EXPECT_EQ(got[i].value().path[j], want[i].value().path[j]);
-    }
-    EXPECT_EQ(got[i].value().timestamps, want[i].value().timestamps);
-  }
-
-  // Degenerate parameters are rejected loudly.
-  EXPECT_FALSE(MakeModel("habit:threads=0", trips).ok());
-  EXPECT_FALSE(MakeModel("habit:threads=-2", trips).ok());
 }
 
 TEST(ApiTest, BatchReportsPerQueryFailures) {
@@ -490,12 +450,16 @@ TEST(ApiTest, SnapshotSpecParamErrors) {
   ASSERT_FALSE(habit_conflicting.ok());
   EXPECT_EQ(habit_conflicting.status().code(),
             StatusCode::kInvalidArgument);
-  // Serving parameters are not build parameters: threads= composes with
-  // load=, and the loaded model serves at the snapshot's resolution.
+  // Batch concurrency is not a spec parameter: threads= is an unknown key
+  // with load= too.
   auto threaded = MakeModel("habit:threads=2,load=" + habit_path, {});
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  ASSERT_FALSE(threaded.ok());
+  EXPECT_EQ(threaded.status().code(), StatusCode::kInvalidArgument);
+  // The loaded model serves at the snapshot's resolution.
+  auto loaded = MakeModel("habit:load=" + habit_path, {});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto* habit_model =
-      dynamic_cast<const HabitModel*>(threaded.value().get());
+      dynamic_cast<const HabitModel*>(loaded.value().get());
   ASSERT_NE(habit_model, nullptr);
   EXPECT_EQ(habit_model->framework().config().resolution, 8);
   std::remove(path.c_str());
@@ -570,9 +534,8 @@ TEST(ApiTest, MapSpecParamErrors) {
       (std::filesystem::temp_directory_path() / "api_map_err.snap").string();
   ASSERT_TRUE(MakeModel("habit:r=8,save=" + path, trips).ok());
   EXPECT_FALSE(MakeModel("habit:r=8,load=" + path + ",map=1", {}).ok());
-  // map composes with other serving params (threads=).
-  EXPECT_TRUE(
-      MakeModel("habit:threads=2,load=" + path + ",map=1", {}).ok());
+  // map composes with load=.
+  EXPECT_TRUE(MakeModel("habit:load=" + path + ",map=1", {}).ok());
   std::remove(path.c_str());
 }
 
@@ -661,8 +624,7 @@ TEST(ApiTest, AltAndLandmarksSpecParamErrors) {
   // landmarks= alongside load= is a build-param conflict like r=.
   EXPECT_FALSE(MakeModel("habit:landmarks=8,load=" + path, {}).ok());
   // alt composes with the other serving params.
-  EXPECT_TRUE(
-      MakeModel("habit:threads=2,alt=1,map=1,load=" + path, {}).ok());
+  EXPECT_TRUE(MakeModel("habit:alt=1,map=1,load=" + path, {}).ok());
   // alt=1 over a landmark-less snapshot degrades silently (zero
   // heuristic), it does not fail.
   const std::string plain_path =

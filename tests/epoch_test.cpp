@@ -340,13 +340,39 @@ TEST(EpochPipelineTest, CountTriggerRollsOverWithoutAnExplicitOp) {
 
 TEST(EpochPipelineTest, RejectsArtifactAndConcurrencyParams) {
   api::ModelCache cache(1ull << 30);
+  // With an empty base nothing is built, so the factory's own parsing is
+  // what must refuse a bad spec at Make, not at the first rollover.
   for (const char* spec :
        {"habit:load=/tmp/x.snap", "habit:save=/tmp/x.snap",
-        "habit:r=9,threads=4"}) {
+        "habit:r=9,threads=4", "habit:threads=2", "habit_typed:threads=2",
+        "habit:rr=9", "habit:r=abc", "habit:r=9,bogus=1", "warpdrive"}) {
     api::EpochPipeline::Options options;
     options.spec = spec;
-    EXPECT_FALSE(api::EpochPipeline::Make(&cache, options, {}).ok())
+    auto pipeline = api::EpochPipeline::Make(&cache, options, {});
+    ASSERT_FALSE(pipeline.ok()) << spec;
+    EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument)
         << spec;
+  }
+  // With a base the pre-warm build refuses the same keys.
+  for (const char* spec : {"habit:threads=2", "habit_typed:threads=2"}) {
+    api::EpochPipeline::Options options;
+    options.spec = spec;
+    auto pipeline =
+        api::EpochPipeline::Make(&cache, options, MakeTrips(1, 3));
+    ASSERT_FALSE(pipeline.ok()) << spec;
+    EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
+  EXPECT_EQ(cache.num_models(), 0u);
+  // Valid trips-built specs with an empty base are still accepted: their
+  // build refuses zero trips with NotFound, which Make lets through.
+  for (const char* spec : {"habit:r=9", "habit_typed:r=9", "gti", "palmto",
+                           "sli"}) {
+    api::EpochPipeline::Options options;
+    options.spec = spec;
+    auto pipeline = api::EpochPipeline::Make(&cache, options, {});
+    EXPECT_TRUE(pipeline.ok()) << spec << ": "
+                               << pipeline.status().ToString();
   }
 }
 

@@ -321,12 +321,16 @@ TEST_F(ServerTest, UnknownSpecsAndBadParamsAreErrors) {
           EncodeImputeRequest("habit:r=8,save=/tmp/evil.snap",
                               LaneRequest())),
       "InvalidArgument", "save= is not allowed"));
-  // threads= would nest thread pools (workers x threads searches) and key
-  // a distinct cache entry per value; concurrency belongs to --threads.
+  // threads= is no spec parameter (concurrency belongs to --threads): the
+  // factory rejects it like any unknown key, before any load.
   EXPECT_TRUE(IsErrorWith(
       server.HandleLine(EncodeImputeRequest(*load_spec_ + ",threads=64",
                                             LaneRequest())),
-      "InvalidArgument", "threads= is not allowed"));
+      "InvalidArgument", "has no parameter 'threads'"));
+  EXPECT_TRUE(IsErrorWith(
+      server.HandleLine(
+          EncodeImputeRequest("habit_typed:threads=2", LaneRequest())),
+      "InvalidArgument", "has no parameter 'threads'"));
   EXPECT_EQ(server.cache().num_models(), 0u);  // none of these resolved
 }
 

@@ -43,6 +43,13 @@ rule name is shown in the violation message):
                graph/snapshot.cc (the copying loader). AssembleCsr is the
                one in-process assembly path; a second one is how layouts
                drift (row order, in-degrees, attribute alignment).
+  thread-home  Within src/, std::thread appears ONLY in
+               server/server.{h,cc} (the WorkerPool), api/epoch.{h,cc}
+               (the epoch builder thread) and router/router.cc (the
+               per-group fan-out). Batch parallelism goes through the
+               server's WorkerPool; a second spawn site is a second
+               scheduler that nests under the pool and escapes its bound.
+               std::thread::hardware_concurrency is allowed anywhere.
   socket-io    Raw ::recv/::send/::read/::write (and the *msg/*from
                variants) only inside src/server/transport.cc, frame.cc,
                and line_client.h. Everything else goes through
@@ -73,6 +80,9 @@ HLL_HOME = {"src/sketch/hyperloglog.h", "src/sketch/hyperloglog.cc"}
 CSR_HOME = {"src/graph/compact_graph.h", "src/graph/compact_graph.cc",
             "src/graph/csr_assembler.h", "src/graph/csr_assembler.cc",
             "src/graph/snapshot.cc"}
+THREAD_HOME = {"src/server/server.h", "src/server/server.cc",
+               "src/api/epoch.h", "src/api/epoch.cc",
+               "src/router/router.cc"}
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
                   "src/server/line_client.h"}
 
@@ -256,6 +266,21 @@ class Linter:
                 "sorted nodes and edges and call AssembleCsr instead",
                 raw_lines)
 
+    def check_thread_home(self, path: Path, rel: str, code: str,
+                          raw_lines: list[str]) -> None:
+        if not rel.startswith("src/") or rel in THREAD_HOME:
+            return
+        for m in re.finditer(
+                r"\bstd\s*::\s*thread\b(?!\s*::\s*hardware_concurrency\b)",
+                code):
+            line_no = code.count("\n", 0, m.start()) + 1
+            self.report(
+                path, line_no, "thread-home",
+                "std::thread outside server/server.{h,cc}, api/epoch.{h,cc} "
+                "and router/router.cc starts a second scheduler; run batch "
+                "work on the server's WorkerPool",
+                raw_lines)
+
     def check_socket_io(self, path: Path, rel: str, code: str,
                         raw_lines: list[str]) -> None:
         if rel in SOCKET_IO_HOME:
@@ -352,6 +377,7 @@ class Linter:
         self.check_snapshot_constants(path, rel, code, raw_lines)
         self.check_hll_home(path, rel, code, raw_lines)
         self.check_csr_home(path, rel, code, raw_lines)
+        self.check_thread_home(path, rel, code, raw_lines)
         self.check_socket_io(path, rel, code, raw_lines)
         self.check_bench_metric(path, text, raw_lines)
 
