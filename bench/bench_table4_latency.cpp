@@ -69,8 +69,10 @@ size_t BucketOf(const habit::api::ImputeRequest& request) {
 
 // Batch scaling of the one batch scheduler: an in-process server whose
 // worker pool has 1, 2 and 4 workers answers the same binary impute_batch
-// frame (the eval gaps tiled to 512 queries). The server splits the frame
-// into static contiguous chunks, one serial ImputeBatch per worker.
+// frame (the eval gaps tiled to 8,192 queries). The server splits the
+// frame into static contiguous chunks, one serial ImputeBatch per worker.
+// A frame of 512 queries (~80 ms serial) was too short to show scaling on
+// a shared host: 4 workers read anywhere from 0.9x to 3.2x run to run.
 void RunBatchScalingSection(const habit::eval::Experiment& exp) {
   using namespace habit;
   const std::vector<api::ImputeRequest> gap_requests = eval::GapRequests(exp);
@@ -88,7 +90,7 @@ void RunBatchScalingSection(const habit::eval::Experiment& exp) {
                 built.status().ToString().c_str());
     return;
   }
-  constexpr size_t kBatch = 512;
+  constexpr size_t kBatch = 8192;
   server::Request request;
   request.op = server::Request::Op::kImputeBatch;
   request.model = "habit:load=" + snapshot_path;
@@ -99,9 +101,9 @@ void RunBatchScalingSection(const habit::eval::Experiment& exp) {
   const std::string_view payload =
       std::string_view(frame).substr(server::frame::kHeaderBytes);
 
-  // Wall time of one frame is ~0.1 s, so keep the fastest of a few sends
-  // (the model is resolved before the first one).
-  constexpr int kReps = 5;
+  // Wall time of one serial frame is ~1 s, so keep the fastest of a few
+  // sends (the model is resolved before the first one).
+  constexpr int kReps = 3;
   std::printf("\nBatch scaling (KIEL, one impute_batch frame of %zu "
               "queries, %s, in-process server; best of %d; %u hardware "
               "threads)\n", kBatch, request.model.c_str(), kReps,
@@ -111,6 +113,7 @@ void RunBatchScalingSection(const habit::eval::Experiment& exp) {
   for (const int workers : {1, 2, 4}) {
     server::ServerOptions options;
     options.threads = workers;
+    options.max_batch = kBatch;  // above the 4,096 default cap
     server::Server server(options);
     api::MethodSpec spec = api::MethodSpec::Parse(request.model).MoveValue();
     if (auto model = server.Resolve(spec); !model.ok()) {
@@ -182,12 +185,13 @@ std::vector<habit::api::ImputeRequest> DrawLongGapRequests(
   return requests;
 }
 
-// Per-gap-distance latency of ALT landmark search vs the zero-heuristic
-// baseline, over the same loaded snapshot. The two modes return identical
-// imputations (the ALT replay reproduces the baseline byte for byte, see
-// graph/landmarks.h; checked below); this section measures how much
-// search effort the landmark corridor removes, bucketed by gap length —
-// the paper's long-gap regime is where the heuristic has room to pay off.
+// Per-gap-distance latency of the two corridor bounds over the same
+// loaded snapshot: alt=0 runs the corridor search on the hex-lattice bound
+// alone, alt=1 on max(lattice, landmark). Both return plain Dijkstra's
+// imputations byte for byte (graph/search.h; checked below); this section
+// measures what the landmark columns still remove on top of the lattice
+// bound, bucketed by gap length — the paper's long-gap regime is where a
+// bound has room to pay off.
 //
 // Host drift between two back-to-back blocks moves a block-vs-block
 // ratio by tens of percent, so the modes alternate on every repetition
@@ -207,11 +211,10 @@ void RunLongGapSection(const habit::eval::Experiment& exp) {
       (std::filesystem::temp_directory_path() / "bench_table4_alt.snap")
           .string();
   // r=10: the fine-resolution graph is where long gaps hurt — search
-  // balls of tens of thousands of nodes — and therefore where the
-  // landmark corridor has room to pay. The coarser r=9 queries of the
-  // sections above spend most of their time outside the search. Eight
-  // landmarks cut expansions as much as sixteen (~2x) at a lower
-  // per-node bound cost, and ran faster on every >=20 km bucket.
+  // balls of tens of thousands of nodes — and therefore where a bound has
+  // room to pay. The coarser r=9 queries of the sections above spend most
+  // of their time outside the search. Eight landmarks cut expansions as
+  // much as sixteen at a lower per-node bound cost.
   constexpr int kLandmarks = 8;
   if (auto built = api::MakeModel("habit:r=10,landmarks=" +
                                       std::to_string(kLandmarks) +
@@ -271,8 +274,10 @@ void RunLongGapSection(const habit::eval::Experiment& exp) {
     if (kBucketEdgesKm[b] >= 20) ++long_gaps;
   }
   std::printf("\nLong-gap latency by gap length (KIEL, %zu gaps, %zu of "
-              "them >=20 km, r=10, landmarks=%d, gap seed %llu): alt=0 vs "
-              "alt=1, interleaved, best of %d; responses %s (%zu differ)\n",
+              "them >=20 km, r=10, landmarks=%d, gap seed %llu): alt=0 "
+              "(lattice bound) vs alt=1 (max of lattice and landmark "
+              "bounds), interleaved, best of %d; responses %s (%zu "
+              "differ)\n",
               n, long_gaps, kLandmarks,
               static_cast<unsigned long long>(kGapSeed), kReps,
               mismatches == 0 ? "identical" : "DIFFER", mismatches);

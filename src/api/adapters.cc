@@ -164,6 +164,14 @@ Result<core::HabitConfig> ParseHabitConfig(const MethodSpec& spec) {
   core::HabitConfig config;
   HABIT_ASSIGN_OR_RETURN(config.resolution,
                          spec.GetInt("r", config.resolution));
+  // Checked here, not at build time: a build with zero trips stops before
+  // the resolution is used, so an empty-base epoch pipeline would start
+  // and fail only at its first rollover.
+  if (config.resolution < 0 || config.resolution > hex::kMaxResolution) {
+    return Status::InvalidArgument(
+        "r=" + std::to_string(config.resolution) + " (expected 0.." +
+        std::to_string(hex::kMaxResolution) + ")");
+  }
   HABIT_ASSIGN_OR_RETURN(config.rdp_tolerance_m,
                          spec.GetDouble("t", config.rdp_tolerance_m));
   HABIT_ASSIGN_OR_RETURN(config.max_snap_ring,

@@ -67,7 +67,8 @@ struct ImputeResponse {
   /// request carried no time span).
   std::vector<int64_t> timestamps;
   /// Search effort (settled nodes / generated tokens), 0 when the method
-  /// does not search.
+  /// does not search. For HABIT on a lattice-valid graph: the nodes the
+  /// corridor replay settled (graph::RunSearchCorridor), probe excluded.
   size_t expanded = 0;
 };
 

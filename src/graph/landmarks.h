@@ -21,47 +21,28 @@
 // Output equivalence: an A* guided by a different heuristic legitimately
 // returns a *different equal-cost path* than the zero-heuristic baseline
 // when ties exist — so a drop-in heuristic swap cannot promise
-// byte-identical imputations. RunSearchAlt instead keeps the baseline
-// search (zero heuristic, baseline settle order) and prunes it to a
-// corridor proven to contain every optimal path:
+// byte-identical imputations. RunSearchAlt instead hands the bound to
+// RunSearchCorridor (graph/search.h): a weighted-A* probe finds a real
+// path whose cost caps the optimum, and the baseline search replays
+// pruned to the corridor { u : dist(u) + bound(u) <= cap }, which provably
+// keeps every node and tie that decides the baseline's answer. Under
+// honest columns the result is certifiably optimal, not just plausible:
+// any path through a discarded node costs more than the cap >= the
+// returned cost. Dishonest columns are a load-time concern — copy loads
+// verify the payload checksum, mapped loads the landmark section's
+// structure (ValidateLandmarks) — and a replay that pruned itself into
+// finding nothing falls back to the unpruned baseline.
 //
-//   1. An UPPER bound on the optimal cost C seeds the corridor: routing
-//      through any landmark is a real path, so
-//        U = min over (seed s, landmark L, target t) of
-//              s.cost + dist(s, L) + dist(L, t)  >=  C,
-//      computed in PrepareAltQuery from values it already reads. On real
-//      lane graphs U alone is loose (landmarks sit on the periphery), so
-//      a weighted-A* probe — the bound inflated by kProbeWeight, greedy
-//      and unpruned — walks a real path in near-path-length expansions
-//      and tightens the cap to min(U, probe cost), typically within a
-//      few percent of C.
-//   2. The replay then runs the baseline zero-heuristic search but
-//      discards, at record time, every candidate entry with
-//      dist(u) + bound(u) > cap + slack — out-of-corridor nodes never
-//      even enter the heap.
-//
-// The pruned run reproduces the baseline's result exactly: every node on
-// an optimal path satisfies dist(u) + bound(u) <= C <= cap, hence
-// survives;
-// surviving entries settle in the baseline's order because the settle
-// sequence is a function of the (priority, node) entry set alone (the
-// heap pops equal priorities by node index, see RunSearchPruned), and
-// every entry that determines the baseline's returned parent chain is in
-// the corridor. The slack term absorbs the ulp-level gap between the
-// landmark columns' cost sums and the search's own left-to-right sums.
-// And under honest columns the result is certifiably optimal, not just
-// plausible: any path through a discarded node costs more than
-// the cap >= the returned cost. Dishonest columns are a load-time concern —
-// copy loads verify the payload checksum, mapped loads the landmark
-// section's structure (ValidateLandmarks) — and a run that pruned itself
-// into finding nothing falls back to the unpruned baseline.
+// PrepareAltQuery also computes the triangle *upper* bound (the cheapest
+// seed -> landmark -> target relay). It does not cap the corridor — the
+// probe's path is within a few percent of optimal, while landmarks sit on
+// the periphery and relay with 2-10x detours — but an infinite one says
+// no landmark connects the two sets, which RunSearchAlt answers with the
+// plain baseline.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#ifdef HABIT_ALT_TRACE
-#include <cstdio>
-#endif
 #include <limits>
 #include <span>
 
@@ -152,10 +133,8 @@ class LandmarkHeuristic {
   SearchScratch::AltState* alt_;
 };
 
-/// \brief The ALT corridor search: the baseline zero-heuristic search,
-/// record-time-pruned to { u : dist(u) + bound(u) <= cap + slack } where
-/// cap is the tighter of the landmark-relay upper bound and a weighted-A*
-/// probe's real path cost (see the header comment). Returns exactly what
+/// \brief The ALT corridor search: RunSearchCorridor (graph/search.h)
+/// guided by the landmark bound. Returns exactly what
 /// `RunSearch(g, seeds, is_target, zero, scratch)` returns — same target,
 /// same parent chain, same cost — with `expanded` counting only the nodes
 /// the corridor admitted. `targets` must hold the same node set
@@ -168,67 +147,19 @@ CsrSearch RunSearchAlt(const CompactGraph& g,
                        IsTargetFn&& is_target,
                        std::span<const NodeIndex> targets,
                        SearchScratch& scratch) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto zero = [](NodeIndex) { return 0.0; };
   if (g.num_landmarks() == 0 || targets.empty()) {
     return RunSearch(g, seeds, is_target, zero, scratch);
   }
   PrepareAltQuery(g, targets, seeds, scratch);
-  if (scratch.alt.upper == kInf) {
-    // No landmark relays seeds to targets: no corridor to prune to (and
-    // likely no path at all) — run the plain baseline.
+  if (scratch.alt.upper == std::numeric_limits<double>::infinity()) {
+    // No landmark relays seeds to targets: the bound is vacuous (and
+    // likely there is no path at all), so a corridor would only search
+    // twice — run the plain baseline.
     return RunSearch(g, seeds, is_target, zero, scratch);
   }
-  const LandmarkHeuristic bound(g, scratch);
-
-  // The relative slack covers floating-point divergence between the
-  // landmark columns' cost sums and the search's own sums along the same
-  // edges.
-  const auto with_slack = [](double x) {
-    return x + 1e-9 * (std::abs(x) + 1.0);
-  };
-
-  // Phase 1 — probe: the landmark-relay upper bound alone is loose (the
-  // chosen landmarks sit on the periphery, and routing through one detours
-  // by 2-10x on real lane graphs), so tighten it with a weighted-A* probe:
-  // the bound inflated by kProbeWeight makes the search greedily
-  // goal-directed, tracing the lane toward the targets in near-path-length
-  // expansions. Whatever it finds is a REAL path, so its cost is a valid
-  // upper bound — typically within a few percent of optimal — regardless
-  // of the inflation breaking admissibility. The probe runs unpruned:
-  // clipping it to the relay corridor measurably backfires (the greedy
-  // path strays outside and the probe degenerates into a corridor sweep).
-  constexpr double kProbeWeight = 2.0;
-  const CsrSearch probe = RunSearch(
-      g, seeds, is_target,
-      [&](NodeIndex u) { return kProbeWeight * bound(u); }, scratch);
-  if (!probe.found) {
-    // Honest columns + finite relay bound imply the targets are reachable,
-    // so a failed probe means corrupt landmark data: fall back to the
-    // authoritative unpruned baseline (correct, just not accelerated).
-    return RunSearch(g, seeds, is_target, zero, scratch);
-  }
-
-  // Phase 2 — replay: the baseline zero-heuristic search, pruned to the
-  // corridor the probe's path cost proves sufficient.
-  const double limit = with_slack(std::min(scratch.alt.upper, probe.cost));
-  CsrSearch run = RunSearchPruned(
-      g, seeds, is_target, zero,
-      [&](NodeIndex u, double du) { return du + bound(u) > limit; },
-      scratch);
-#ifdef HABIT_ALT_TRACE
-  std::fprintf(stderr,
-               "ALT_TRACE upper=%.3f probe_cost=%.3f probe_exp=%zu "
-               "cost=%.3f found=%d exp=%zu\n",
-               scratch.alt.upper, probe.cost, probe.expanded, run.cost,
-               run.found ? 1 : 0, run.expanded);
-#endif
-  if (!run.found) {
-    // A real path of cost <= limit exists (the probe walked one), so this
-    // is unreachable only under corrupt columns: same fallback.
-    run = RunSearch(g, seeds, is_target, zero, scratch);
-  }
-  return run;
+  return RunSearchCorridor(g, seeds, is_target,
+                           LandmarkHeuristic(g, scratch), scratch);
 }
 
 }  // namespace habit::graph

@@ -1,5 +1,6 @@
 // The one search engine behind every shortest-path query in the system
-// (graph::Dijkstra / graph::AStar, HABIT's Imputer, the GTI baseline).
+// (graph::Dijkstra / graph::AStar, HABIT's Imputer, the GTI baseline),
+// plus the bound-pruned corridor search built on it.
 //
 // State is flat and index-keyed: distance / parent / stamp vectors sized to
 // the frozen graph, plus a binary heap buffer. Visited and settled marks
@@ -11,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,7 +48,8 @@ struct SearchScratch {
     std::vector<double> to_max;    ///< max over targets of dist(t -> L)
     /// Triangle *upper* bound on the query's optimal cost: the cheapest
     /// seed -> landmark -> target relay, min over all stored landmarks.
-    /// +inf when no landmark connects the seed set to the target set.
+    /// +inf when no landmark connects the seed set to the target set
+    /// (RunSearchAlt then skips the corridor).
     double upper = 0.0;
     /// True when `active` is the identity over all stored landmarks — the
     /// bound evaluation then scans the distance rows linearly (one cache
@@ -116,14 +119,13 @@ struct CsrSearch {
 /// record time rather than pop time means rejected nodes cost one
 /// predicate call instead of a full heap push/pop cycle.
 ///
-/// For a prune predicate monotone in `du` (true for the ALT corridor test,
+/// For a prune predicate monotone in `du` (true for the corridor test,
 /// `du + bound(u) > limit`), this is output-equivalent to filtering pops:
 /// the relaxation that establishes a surviving node's final distance has
 /// the smallest `du` seen for that node, hence always passes, and with it
 /// every (priority, node) heap entry that determines the settle sequence.
-/// The ALT replay phase (graph/landmarks.h) uses this to restrict the
-/// baseline search to the corridor that can contain an optimal path;
-/// everything else should call RunSearch.
+/// RunSearchCorridor's replay phase is its one pruning caller (lint rule
+/// `corridor-home`); everything else calls RunSearch or RunSearchCorridor.
 ///
 /// Equal-priority heap entries pop in ascending node order. This makes the
 /// settle sequence a function of the entry set alone (not of heap
@@ -204,6 +206,56 @@ CsrSearch RunSearch(const CompactGraph& g, std::span<const SearchSeed> seeds,
                     SearchScratch& scratch) {
   return RunSearchPruned(g, seeds, is_target, h,
                          [](NodeIndex, double) { return false; }, scratch);
+}
+
+/// Inflation of the corridor probe's heuristic (see RunSearchCorridor).
+inline constexpr double kProbeWeight = 2.0;
+
+/// \brief The corridor search: plain Dijkstra's answer from a fraction of
+/// its work, given a goal-directed lower bound.
+///
+/// `bound(u)` must be an admissible, consistent lower bound on the cost
+/// from `u` to the nearest target (consistent: bound(u) <= w(u, v) +
+/// bound(v) on every edge). Returns exactly what
+/// `RunSearch(g, seeds, is_target, zero, scratch)` returns — same target,
+/// same cost, same parent chain in `scratch` — with `expanded` counting
+/// only the nodes the corridor admitted. Two phases:
+///
+///   1. Probe: a weighted A* (the bound inflated by kProbeWeight), greedy
+///      and unpruned, walks a real path toward the targets in
+///      near-path-length expansions. Its cost is an upper bound on the
+///      optimal cost C, typically within a few percent of it. Unpruned
+///      also means exhaustive: a failed probe proves no target reachable.
+///   2. Replay: the zero-heuristic baseline, record-time-pruned
+///      (RunSearchPruned) to { u : dist(u) + bound(u) <= limit }, where
+///      limit is the probe's cost plus a relative slack for the ulp-level
+///      gap between cost sums taken along different paths.
+///
+/// Why the replay reproduces the baseline: every node on an optimal path
+/// has dist(u) + bound(u) <= C <= limit, so it survives. By consistency,
+/// so does every equal-cost predecessor of a surviving node, so each
+/// parent choice sees the same candidates as in the baseline. And
+/// surviving entries settle in the baseline's order, since the heap pops
+/// equal priorities by node index (the settle sequence is a function of
+/// the entry set alone). A replay that finds nothing can only mean an
+/// inadmissible bound; it falls back to the unpruned baseline.
+template <typename IsTargetFn, typename BoundFn>
+CsrSearch RunSearchCorridor(const CompactGraph& g,
+                            std::span<const SearchSeed> seeds,
+                            IsTargetFn&& is_target, BoundFn&& bound,
+                            SearchScratch& scratch) {
+  const auto zero = [](NodeIndex) { return 0.0; };
+  const CsrSearch probe = RunSearch(
+      g, seeds, is_target,
+      [&](NodeIndex u) { return kProbeWeight * bound(u); }, scratch);
+  if (!probe.found) return probe;
+  const double limit = probe.cost + 1e-9 * (std::abs(probe.cost) + 1.0);
+  CsrSearch run = RunSearchPruned(
+      g, seeds, is_target, zero,
+      [&](NodeIndex u, double du) { return du + bound(u) > limit; },
+      scratch);
+  if (!run.found) run = RunSearch(g, seeds, is_target, zero, scratch);
+  return run;
 }
 
 /// Walks the parent chain of `scratch` from `reached` back to its seed.

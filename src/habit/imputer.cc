@@ -7,8 +7,39 @@
 
 namespace habit::core {
 
+LatticeBound::LatticeBound(const graph::CompactGraph& g, hex::CellId center,
+                           std::span<const graph::NodeIndex> targets)
+    : g_(&g), center_(hex::CellToAxial(center)) {
+  for (const graph::NodeIndex t : targets) {
+    radius_ = std::max(
+        radius_, hex::AxialDistance(hex::CellToAxial(g.IdOf(t)), center_));
+  }
+}
+
+bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution) {
+  for (graph::NodeIndex u = 0; u < g.num_nodes(); ++u) {
+    if (hex::Resolution(static_cast<hex::CellId>(g.IdOf(u))) != resolution) {
+      return false;
+    }
+  }
+  for (graph::NodeIndex u = 0; u < g.num_nodes(); ++u) {
+    const hex::Axial from = hex::CellToAxial(g.IdOf(u));
+    const auto neighbors = g.OutNeighbors(u);
+    const auto weights = g.OutWeights(u);
+    for (size_t e = 0; e < neighbors.size(); ++e) {
+      const int64_t hops = std::max<int64_t>(
+          1, hex::AxialDistance(from, hex::CellToAxial(g.IdOf(neighbors[e]))));
+      // Negated so a NaN weight fails the check too.
+      if (!(weights[e] >= static_cast<double>(hops))) return false;
+    }
+  }
+  return true;
+}
+
 Imputer::Imputer(const graph::CompactGraph* graph, const HabitConfig& config)
-    : graph_(graph), config_(config) {}
+    : graph_(graph),
+      config_(config),
+      lattice_bound_(LatticeBoundHolds(*graph, config.resolution)) {}
 
 std::vector<hex::CellId> Imputer::SnapCandidates(
     const geo::LatLng& p, SnapRole role, size_t max_candidates) const {
@@ -156,16 +187,33 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
     return std::binary_search(target_idx.begin(), target_idx.end(), u);
   };
 
-  // The baseline is plain Dijkstra (zero heuristic); with landmarks
-  // enabled, RunSearchAlt accelerates it through the snapshot's ALT
-  // columns while returning byte-identical paths (see graph/landmarks.h).
-  const graph::CsrSearch run =
-      use_landmarks_ && graph_->num_landmarks() > 0
-          ? graph::RunSearchAlt(*graph_, seeds, is_target, target_idx,
-                                *scratch)
-          : graph::RunSearch(
-                *graph_, seeds, is_target,
-                [](graph::NodeIndex) { return 0.0; }, *scratch);
+  // The answer is plain Dijkstra's (zero heuristic). The corridor search
+  // returns it byte for byte from less work, guided by the lattice bound
+  // (centered on the nearest target candidate) and, with landmarks
+  // enabled, by the snapshot's ALT columns too (see graph/search.h).
+  const bool alt = use_landmarks_ && graph_->num_landmarks() > 0;
+  graph::CsrSearch run;
+  if (lattice_bound_) {
+    const LatticeBound lattice(*graph_, dst_cands.front(), target_idx);
+    if (alt) {
+      graph::PrepareAltQuery(*graph_, target_idx, seeds, *scratch);
+      const graph::LandmarkHeuristic landmark(*graph_, *scratch);
+      run = graph::RunSearchCorridor(
+          *graph_, seeds, is_target,
+          [&](graph::NodeIndex u) { return std::max(lattice(u), landmark(u)); },
+          *scratch);
+    } else {
+      run = graph::RunSearchCorridor(*graph_, seeds, is_target, lattice,
+                                     *scratch);
+    }
+  } else if (alt) {
+    run = graph::RunSearchAlt(*graph_, seeds, is_target, target_idx,
+                              *scratch);
+  } else {
+    run = graph::RunSearch(
+        *graph_, seeds, is_target, [](graph::NodeIndex) { return 0.0; },
+        *scratch);
+  }
   if (!run.found) {
     return Status::Unreachable(
         "no snap candidate pair is connected in the transition graph");

@@ -1,9 +1,10 @@
 // Trajectory imputation (Section 3.3) and simplification (Section 3.4):
-// snap gap endpoints to graph nodes, run the shared CSR A* engine over
-// transition costs, project the cell sequence back to coordinates (center
+// snap gap endpoints to graph nodes, run the shared CSR search engine over
+// transition costs (pruned by the hex-lattice bound), project the cell sequence back to coordinates (center
 // or data-driven median), and smooth the result with RDP.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/status.h"
@@ -25,9 +26,51 @@ struct Imputation {
   /// Timestamps assigned to `path` points by arc-length interpolation
   /// between the gap boundary times (same size as `path`).
   std::vector<int64_t> timestamps;
-  /// Search effort (settled nodes), for performance analysis.
+  /// Search effort (settled nodes; the corridor replay's when the search
+  /// ran as a corridor), for performance analysis.
   size_t expanded = 0;
 };
+
+/// \brief The hex-lattice lower bound on a node's remaining search cost.
+///
+/// A node id is a cell packing (resolution, i, j). On a graph where every
+/// edge costs at least max(1, grid distance) — what the hop-based cost
+/// policies build (graph_builder.cc) — no path from u to a target t costs
+/// less than hexdist(u, t). Taking the exact minimum over a few dozen
+/// targets per node does not pay, so the bound measures from one center
+/// cell c and subtracts the target set's radius R around it:
+///
+///   hexdist(u, t) >= hexdist(u, c) - hexdist(c, t) >= hexdist(u, c) - R.
+///
+/// max(0, hexdist(u, c) - R) is admissible and consistent (it changes by
+/// at most hexdist(u, v) <= w(u, v) along an edge), computed from the node
+/// id alone: no per-node array, no snapshot section. Valid only where
+/// LatticeBoundHolds(g, resolution).
+class LatticeBound {
+ public:
+  /// `center` must be a cell of the graph's resolution; `targets` are the
+  /// query's target nodes (they set the radius).
+  LatticeBound(const graph::CompactGraph& g, hex::CellId center,
+               std::span<const graph::NodeIndex> targets);
+
+  double operator()(graph::NodeIndex u) const {
+    const int64_t d =
+        hex::AxialDistance(hex::CellToAxial(g_->IdOf(u)), center_) - radius_;
+    return d > 0 ? static_cast<double>(d) : 0.0;
+  }
+
+ private:
+  const graph::CompactGraph* g_;
+  hex::Axial center_;
+  int64_t radius_ = 0;
+};
+
+/// True iff LatticeBound is admissible and consistent on `g`: every node
+/// id is a valid cell at `resolution` and every edge costs at least
+/// max(1, grid distance). The factor is fixed at 1, not fitted per graph,
+/// so a shard and the full graph it was cut from prune alike. One O(V + E)
+/// scan.
+bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution);
 
 /// \brief Imputes gaps against a frozen transition graph.
 ///
@@ -35,6 +78,12 @@ struct Imputation {
 /// flat graph::SearchScratch (generation-stamped distance/parent/settled
 /// arrays keyed by dense NodeIndex), either a per-call local one or a
 /// caller-owned scratch shared across a batch.
+///
+/// Every query returns plain Dijkstra's path. Where the lattice bound holds
+/// (checked once, at construction) the search runs as
+/// graph::RunSearchCorridor guided by it, and by max(lattice, landmark)
+/// with landmarks on; otherwise it is plain Dijkstra, or the landmark
+/// corridor alone.
 class Imputer {
  public:
   /// Reusable search working state (one per querying thread).
@@ -86,10 +135,15 @@ class Imputer {
   void set_use_landmarks(bool on) { use_landmarks_ = on; }
   bool use_landmarks() const { return use_landmarks_; }
 
+  /// Whether queries are guided by the lattice bound (LatticeBoundHolds
+  /// for this graph at the configured resolution).
+  bool lattice_bound() const { return lattice_bound_; }
+
  private:
   const graph::CompactGraph* graph_;
   HabitConfig config_;
   bool use_landmarks_ = false;
+  bool lattice_bound_ = false;
 };
 
 }  // namespace habit::core

@@ -14,10 +14,7 @@ constexpr double kSqrt7 = 2.6457513110645907;
 
 // Axial coordinate bounds: 30-bit fields with a bias; the outermost encoded
 // value is reserved so kInvalidCell never decodes as a valid cell.
-constexpr int64_t kAxialBias = 1LL << 29;
-constexpr int64_t kMaxAxial = (1LL << 29) - 2;
-
-constexpr uint64_t kCoordMask = (1ULL << 30) - 1;
+constexpr int64_t kMaxAxial = kAxialBias - 2;
 
 // Pointy-top axial direction vectors, counter-clockwise starting east.
 constexpr std::array<std::pair<int64_t, int64_t>, 6> kDirections = {{
@@ -92,12 +89,6 @@ int Resolution(CellId cell) {
   return static_cast<int>(cell >> 60);
 }
 
-Axial CellToAxial(CellId cell) {
-  const int64_t i_enc = static_cast<int64_t>((cell >> 30) & kCoordMask);
-  const int64_t j_enc = static_cast<int64_t>(cell & kCoordMask);
-  return Axial{i_enc - kAxialBias, j_enc - kAxialBias};
-}
-
 CellId AxialToCell(int res, Axial axial) {
   if (res < 0 || res > kMaxResolution || !AxialInRange(axial)) {
     return kInvalidCell;
@@ -147,11 +138,7 @@ Result<int64_t> GridDistance(CellId a, CellId b) {
     return Status::InvalidArgument(
         "grid distance requires equal resolutions");
   }
-  const Axial ca = CellToAxial(a);
-  const Axial cb = CellToAxial(b);
-  const int64_t di = ca.i - cb.i;
-  const int64_t dj = ca.j - cb.j;
-  return (std::llabs(di) + std::llabs(dj) + std::llabs(di + dj)) / 2;
+  return AxialDistance(CellToAxial(a), CellToAxial(b));
 }
 
 std::vector<CellId> GridDisk(CellId origin, int k) {

@@ -61,8 +61,26 @@ struct Axial {
   bool operator==(const Axial&) const = default;
 };
 
-/// Decodes the axial coordinates of the cell.
-Axial CellToAxial(CellId cell);
+/// Axial coordinates are stored as 30-bit fields offset by this bias.
+inline constexpr int64_t kAxialBias = int64_t{1} << 29;
+inline constexpr uint64_t kCoordMask = (uint64_t{1} << 30) - 1;
+
+/// Decodes the axial coordinates of the cell (inline: search bounds decode
+/// one id per relaxed edge).
+inline Axial CellToAxial(CellId cell) {
+  const int64_t i_enc = static_cast<int64_t>((cell >> 30) & kCoordMask);
+  const int64_t j_enc = static_cast<int64_t>(cell & kCoordMask);
+  return Axial{i_enc - kAxialBias, j_enc - kAxialBias};
+}
+
+/// Hexagonal grid distance between two axial positions on one lattice.
+inline int64_t AxialDistance(Axial a, Axial b) {
+  const int64_t di = a.i - b.i;
+  const int64_t dj = a.j - b.j;
+  const int64_t dk = di + dj;
+  return ((di < 0 ? -di : di) + (dj < 0 ? -dj : dj) + (dk < 0 ? -dk : dk)) /
+         2;
+}
 
 /// Encodes axial coordinates at a resolution into a cell id.
 /// Returns kInvalidCell if res or coordinates are out of range.

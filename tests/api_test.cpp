@@ -128,6 +128,24 @@ TEST(RegistryTest, OverflowingIntParameterRejected) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RegistryTest, OutOfRangeResolutionRejectedBeforeAnyBuild) {
+  // Refused by the spec parser, with or without trips: a build from zero
+  // trips never reaches the resolution.
+  for (const char* spec : {"habit:r=99", "habit:r=-1", "habit:r=16",
+                           "habit_typed:r=99"}) {
+    for (const bool with_trips : {true, false}) {
+      auto model = MakeModel(spec, with_trips ? MakeTrips()
+                                              : std::vector<ais::Trip>{});
+      ASSERT_FALSE(model.ok()) << spec;
+      EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument)
+          << spec << ": " << model.status().ToString();
+    }
+  }
+  // The top resolution itself is in range: only the empty build refuses.
+  EXPECT_EQ(MakeModel("habit:r=15", {}).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(ApiTest, ValidateRequestContract) {
   EXPECT_TRUE(ValidateRequest(LaneRequest()).ok());
 

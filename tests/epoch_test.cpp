@@ -345,7 +345,8 @@ TEST(EpochPipelineTest, RejectsArtifactAndConcurrencyParams) {
   for (const char* spec :
        {"habit:load=/tmp/x.snap", "habit:save=/tmp/x.snap",
         "habit:r=9,threads=4", "habit:threads=2", "habit_typed:threads=2",
-        "habit:rr=9", "habit:r=abc", "habit:r=9,bogus=1", "warpdrive"}) {
+        "habit:rr=9", "habit:r=abc", "habit:r=9,bogus=1", "habit:r=99",
+        "habit_typed:r=-1", "warpdrive"}) {
     api::EpochPipeline::Options options;
     options.spec = spec;
     auto pipeline = api::EpochPipeline::Make(&cache, options, {});

@@ -50,6 +50,12 @@ rule name is shown in the violation message):
                server's WorkerPool; a second spawn site is a second
                scheduler that nests under the pool and escapes its bound.
                std::thread::hardware_concurrency is allowed anywhere.
+  corridor-home RunSearchPruned (the record-time-pruned search) is
+               called ONLY from graph/search.h: by RunSearchCorridor's
+               replay, and by RunSearch with a never-true prune. The
+               corridor's byte-identity argument (consistent bound,
+               probe-capped limit, slack) is made once there; a second
+               pruning caller would prune without it.
   socket-io    Raw ::recv/::send/::read/::write (and the *msg/*from
                variants) only inside src/server/transport.cc, frame.cc,
                and line_client.h. Everything else goes through
@@ -83,6 +89,8 @@ CSR_HOME = {"src/graph/compact_graph.h", "src/graph/compact_graph.cc",
 THREAD_HOME = {"src/server/server.h", "src/server/server.cc",
                "src/api/epoch.h", "src/api/epoch.cc",
                "src/router/router.cc"}
+CORRIDOR_HOME = "src/graph/search.h"
+CORRIDOR_CALLERS = {"RunSearch", "RunSearchCorridor"}
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
                   "src/server/line_client.h"}
 
@@ -281,6 +289,27 @@ class Linter:
                 "work on the server's WorkerPool",
                 raw_lines)
 
+    def check_corridor_home(self, path: Path, rel: str, code: str,
+                            raw_lines: list[str]) -> None:
+        for m in re.finditer(r"\bRunSearchPruned\b", code):
+            if rel == CORRIDOR_HOME:
+                # The definition itself, or a call inside an allowed
+                # function (the nearest function definition above it).
+                if re.match(r"RunSearchPruned\s*\(\s*const\b",
+                            code[m.start():]):
+                    continue
+                owners = re.findall(r"\bCsrSearch\s+(\w+)\s*\(",
+                                    code[:m.start()])
+                if owners and owners[-1] in CORRIDOR_CALLERS:
+                    continue
+            line_no = code.count("\n", 0, m.start()) + 1
+            self.report(
+                path, line_no, "corridor-home",
+                "RunSearchPruned is called only by graph/search.h's "
+                "RunSearch and RunSearchCorridor; prune through "
+                "RunSearchCorridor with an admissible, consistent bound",
+                raw_lines)
+
     def check_socket_io(self, path: Path, rel: str, code: str,
                         raw_lines: list[str]) -> None:
         if rel in SOCKET_IO_HOME:
@@ -378,6 +407,7 @@ class Linter:
         self.check_hll_home(path, rel, code, raw_lines)
         self.check_csr_home(path, rel, code, raw_lines)
         self.check_thread_home(path, rel, code, raw_lines)
+        self.check_corridor_home(path, rel, code, raw_lines)
         self.check_socket_io(path, rel, code, raw_lines)
         self.check_bench_metric(path, text, raw_lines)
 
