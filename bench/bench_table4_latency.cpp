@@ -8,7 +8,7 @@
 // Also measures batch scaling of the server's worker pool (one binary
 // impute_batch frame through an in-process server at 1, 2 and 4 workers,
 // one flat search scratch per chunk against the shared frozen graph), and
-// ALT landmark search against the plain search on ~2,000 seeded gaps.
+// plain, lattice-bound and landmark-bound search on ~2,000 seeded gaps.
 //
 // Machine-readable results are emitted as `BENCH_METRIC {json}` lines,
 // which bench/run_all.sh folds into its per-bench JSON output so latency
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,11 @@
 #include "eval/harness.h"
 #include "eval/report.h"
 #include "geo/latlng.h"
+#include "graph/landmarks.h"
+#include "graph/search.h"
+#include "habit/framework.h"
+#include "habit/imputer.h"
+#include "hexgrid/hexgrid.h"
 #include "server/frame.h"
 #include "server/server.h"
 #include "sim/gaps.h"
@@ -185,17 +191,52 @@ std::vector<habit::api::ImputeRequest> DrawLongGapRequests(
   return requests;
 }
 
-// Per-gap-distance latency of the two corridor bounds over the same
-// loaded snapshot: alt=0 runs the corridor search on the hex-lattice bound
-// alone, alt=1 on max(lattice, landmark). Both return plain Dijkstra's
-// imputations byte for byte (graph/search.h; checked below); this section
-// measures what the landmark columns still remove on top of the lattice
-// bound, bucketed by gap length — the paper's long-gap regime is where a
-// bound has room to pay off.
+// The search the imputer issues for a gap: source and target candidates
+// from the public SnapCandidates, each seed costed by its snap
+// displacement in cell pitches (habit/imputer.cc).
+struct GapSearch {
+  std::vector<habit::graph::SearchSeed> seeds;
+  std::vector<habit::graph::NodeIndex> targets;  // sorted
+  habit::hex::CellId center = habit::hex::kInvalidCell;
+};
+
+std::optional<GapSearch> SnapGap(const habit::core::HabitFramework& model,
+                                 const habit::api::ImputeRequest& request) {
+  using namespace habit;
+  using Role = core::Imputer::SnapRole;
+  const graph::CompactGraph& g = model.graph();
+  const double pitch =
+      hex::EdgeLengthMeters(model.config().resolution) * 1.7320508;
+  GapSearch q;
+  for (const hex::CellId c :
+       model.imputer().SnapCandidates(request.gap_start, Role::kSource)) {
+    q.seeds.push_back(
+        {g.IndexOf(c),
+         geo::HaversineMeters(request.gap_start, hex::CellToLatLng(c)) /
+             pitch});
+  }
+  const std::vector<hex::CellId> dst =
+      model.imputer().SnapCandidates(request.gap_end, Role::kTarget);
+  if (q.seeds.empty() || dst.empty()) return std::nullopt;
+  q.center = dst.front();
+  for (const hex::CellId c : dst) q.targets.push_back(g.IndexOf(c));
+  std::sort(q.targets.begin(), q.targets.end());
+  return q;
+}
+
+// Per-gap-distance search time of plain Dijkstra and of the corridor
+// search under its two bounds, on one KIEL r=10 graph with 8 landmarks:
+// the hex-lattice bound every hop-cost HABIT query runs on, and the ALT
+// landmark bound that alt=1 uses where the lattice bound does not hold
+// (habit/imputer.h). All three return the same target, cost and parent
+// chain (checked below); this section measures what each bound removes,
+// bucketed by gap length — the paper's long-gap regime is where a bound
+// has room to pay off. Only the search is timed, from the imputer's own
+// snap candidates.
 //
 // Host drift between two back-to-back blocks moves a block-vs-block
-// ratio by tens of percent, so the modes alternate on every repetition
-// (which one runs first alternates too) and each query keeps its fastest
+// ratio by tens of percent, so the modes take turns on every repetition
+// (which one runs first rotates too) and each query keeps its fastest
 // time per mode.
 void RunLongGapSection(const habit::eval::Experiment& exp) {
   using namespace habit;
@@ -207,129 +248,166 @@ void RunLongGapSection(const habit::eval::Experiment& exp) {
     return;
   }
 
-  const std::string snapshot_path =
-      (std::filesystem::temp_directory_path() / "bench_table4_alt.snap")
-          .string();
   // r=10: the fine-resolution graph is where long gaps hurt — search
   // balls of tens of thousands of nodes — and therefore where a bound has
-  // room to pay. The coarser r=9 queries of the sections above spend most
-  // of their time outside the search. Eight landmarks cut expansions as
-  // much as sixteen at a lower per-node bound cost.
+  // room to pay. Eight landmarks cut expansions as much as sixteen at a
+  // lower per-node bound cost.
   constexpr int kLandmarks = 8;
-  if (auto built = api::MakeModel("habit:r=10,landmarks=" +
-                                      std::to_string(kLandmarks) +
-                                      ",save=" + snapshot_path,
-                                  exp.train_trips);
-      !built.ok()) {
-    std::printf("\nlong-gap section skipped (snapshot build): %s\n",
+  core::HabitConfig config;
+  config.resolution = 10;
+  auto built = core::HabitFramework::Build(exp.train_trips, config);
+  if (built.ok()) {
+    if (Status s = built.value()->PrecomputeLandmarks(kLandmarks); !s.ok()) {
+      built = s;
+    }
+  }
+  if (!built.ok()) {
+    std::printf("\nlong-gap section skipped (graph build): %s\n",
                 built.status().ToString().c_str());
     return;
   }
-  std::unique_ptr<api::ImputationModel> models[2];
-  for (const int alt : {0, 1}) {
-    const std::string spec = "habit:load=" + snapshot_path +
-                             (alt != 0 ? ",alt=1" : "");
-    auto model = api::MakeModel(spec, {});
-    if (!model.ok()) {
-      std::printf("  %s failed: %s\n", spec.c_str(),
-                  model.status().ToString().c_str());
-      std::remove(snapshot_path.c_str());
-      return;
-    }
-    models[alt] = model.MoveValue();
+  const core::HabitFramework& model = *built.value();
+  const graph::CompactGraph& g = model.graph();
+  if (!core::LatticeBoundHolds(g, config.resolution)) {
+    std::printf("\nlong-gap section skipped: the lattice bound does not "
+                "hold on the r=10 graph\n");
+    return;
   }
 
-  constexpr int kReps = 6;
-  const size_t n = requests.size();
-  std::vector<Result<api::ImputeResponse>> responses[2];
-  std::vector<double> best_seconds[2] = {std::vector<double>(n, 1e300),
-                                         std::vector<double>(n, 1e300)};
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const int mode : {rep % 2, 1 - rep % 2}) {
-      std::vector<double> rep_seconds;
-      auto rep_responses = models[mode]->ImputeBatch(requests, &rep_seconds);
-      for (size_t i = 0; i < n; ++i) {
-        best_seconds[mode][i] = std::min(best_seconds[mode][i],
-                                          rep_seconds[i]);
-      }
-      if (rep == 0) responses[mode] = std::move(rep_responses);
+  std::vector<api::ImputeRequest> gaps;
+  std::vector<GapSearch> searches;
+  for (const api::ImputeRequest& request : requests) {
+    if (std::optional<GapSearch> q = SnapGap(model, request)) {
+      gaps.push_back(request);
+      searches.push_back(std::move(*q));
     }
   }
+
+  constexpr int kModes = 3;
+  const char* const kModeNames[kModes] = {"plain", "lattice", "landmark"};
+  constexpr int kReps = 6;
+  const size_t n = gaps.size();
+  graph::SearchScratch scratch;
+  const auto run = [&](int mode, const GapSearch& q) {
+    const auto is_target = [&](graph::NodeIndex u) {
+      return std::binary_search(q.targets.begin(), q.targets.end(), u);
+    };
+    switch (mode) {
+      case 1:
+        return graph::RunSearchCorridor(
+            g, q.seeds, is_target, core::LatticeBound(g, q.center, q.targets),
+            scratch);
+      case 2:
+        return graph::RunSearchAlt(g, q.seeds, is_target, q.targets,
+                                   scratch);
+      default:
+        return graph::RunSearch(
+            g, q.seeds, is_target, [](graph::NodeIndex) { return 0.0; },
+            scratch);
+    }
+  };
+  std::vector<double> best_seconds[kModes];
+  std::vector<size_t> expanded_of[kModes];
+  std::vector<bool> found(n, false);
+  std::vector<std::vector<graph::NodeIndex>> plain_paths(n);
   size_t mismatches = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& a = responses[0][i];
-    const auto& b = responses[1][i];
-    if (a.ok() != b.ok() ||
-        (a.ok() && (a.value().path != b.value().path ||
-                    a.value().timestamps != b.value().timestamps))) {
-      ++mismatches;
+  for (int mode = 0; mode < kModes; ++mode) {
+    best_seconds[mode].assign(n, 1e300);
+    expanded_of[mode].assign(n, 0);
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int k = 0; k < kModes; ++k) {
+      const int mode = (rep + k) % kModes;
+      for (size_t i = 0; i < n; ++i) {
+        Stopwatch sw;
+        const graph::CsrSearch result = run(mode, searches[i]);
+        best_seconds[mode][i] =
+            std::min(best_seconds[mode][i], sw.ElapsedSeconds());
+        if (rep > 0) continue;
+        expanded_of[mode][i] = result.expanded;
+        std::vector<graph::NodeIndex> path =
+            result.found ? graph::ReconstructPath(scratch, result.reached)
+                         : std::vector<graph::NodeIndex>{};
+        if (mode == 0) {
+          found[i] = result.found;
+          plain_paths[i] = std::move(path);
+        } else if (result.found != found[i] || path != plain_paths[i]) {
+          ++mismatches;
+        }
+      }
     }
   }
 
   size_t bucket_n[kNumBuckets] = {};
   size_t long_gaps = 0;
-  for (const api::ImputeRequest& request : requests) {
+  for (const api::ImputeRequest& request : gaps) {
     const size_t b = BucketOf(request);
     ++bucket_n[b];
     if (kBucketEdgesKm[b] >= 20) ++long_gaps;
   }
-  std::printf("\nLong-gap latency by gap length (KIEL, %zu gaps, %zu of "
-              "them >=20 km, r=10, landmarks=%d, gap seed %llu): alt=0 "
-              "(lattice bound) vs alt=1 (max of lattice and landmark "
-              "bounds), interleaved, best of %d; responses %s (%zu "
+  std::printf("\nLong-gap search time by gap length (KIEL, %zu gaps, %zu "
+              "of them >=20 km, r=10, landmarks=%d, gap seed %llu): plain "
+              "Dijkstra vs the corridor on the lattice bound vs on the "
+              "landmark bound, interleaved, best of %d; paths %s (%zu "
               "differ)\n",
               n, long_gaps, kLandmarks,
               static_cast<unsigned long long>(kGapSeed), kReps,
               mismatches == 0 ? "identical" : "DIFFER", mismatches);
   // p50 and mean expansions per bucket per mode: [mode][bucket].
-  double p50[2][kNumBuckets] = {};
-  double expanded[2][kNumBuckets] = {};
-  for (const int alt : {0, 1}) {
+  double p50[kModes][kNumBuckets] = {};
+  double expanded[kModes][kNumBuckets] = {};
+  for (int mode = 0; mode < kModes; ++mode) {
     std::vector<std::vector<double>> bucket_seconds(kNumBuckets);
-    std::vector<size_t> bucket_ok(kNumBuckets, 0);
+    std::vector<size_t> bucket_found(kNumBuckets, 0);
     for (size_t i = 0; i < n; ++i) {
-      const size_t b = BucketOf(requests[i]);
-      bucket_seconds[b].push_back(best_seconds[alt][i]);
-      if (responses[alt][i].ok()) {
-        expanded[alt][b] +=
-            static_cast<double>(responses[alt][i].value().expanded);
-        ++bucket_ok[b];
+      const size_t b = BucketOf(gaps[i]);
+      bucket_seconds[b].push_back(best_seconds[mode][i]);
+      if (found[i]) {
+        expanded[mode][b] += static_cast<double>(expanded_of[mode][i]);
+        ++bucket_found[b];
       }
     }
-    std::printf("  alt=%d  %-8s %8s %12s %12s %14s\n", alt, "bucket_km",
-                "gaps", "p50_ms", "p99_ms", "mean_expanded");
+    std::printf("  %-8s %-9s %6s %10s %10s %14s\n", kModeNames[mode],
+                "bucket_km", "gaps", "p50_ms", "p99_ms", "mean_expanded");
     for (size_t b = 0; b < kNumBuckets; ++b) {
       if (bucket_seconds[b].empty()) continue;
       const double p50_s = Percentile(bucket_seconds[b], 0.50);
       const double p99_s = Percentile(bucket_seconds[b], 0.99);
-      if (bucket_ok[b] > 0) expanded[alt][b] /= bucket_ok[b];
-      p50[alt][b] = p50_s;
-      std::printf("         %-8s %8zu %12.3f %12.3f %14.0f\n",
-                  BucketLabel(b).c_str(), bucket_n[b],
-                  p50_s * 1e3, p99_s * 1e3, expanded[alt][b]);
+      if (bucket_found[b] > 0) expanded[mode][b] /= bucket_found[b];
+      p50[mode][b] = p50_s;
+      std::printf("           %-9s %6zu %10.3f %10.3f %14.0f\n",
+                  BucketLabel(b).c_str(), bucket_n[b], p50_s * 1e3,
+                  p99_s * 1e3, expanded[mode][b]);
       std::printf(
           "BENCH_METRIC {\"metric\":\"long_gap_latency\",\"dataset\":"
-          "\"KIEL\",\"alt\":%d,\"bucket_km\":\"%s\",\"n\":%zu,"
+          "\"KIEL\",\"search\":\"%s\",\"bucket_km\":\"%s\",\"n\":%zu,"
           "\"p50_s\":%.6f,\"p99_s\":%.6f,\"mean_expanded\":%.0f}\n",
-          alt, BucketLabel(b).c_str(), bucket_n[b], p50_s,
-          p99_s, expanded[alt][b]);
+          kModeNames[mode], BucketLabel(b).c_str(), bucket_n[b], p50_s,
+          p99_s, expanded[mode][b]);
     }
   }
-  std::printf("  alt=0 / alt=1 per bucket (p50 wall, mean expansions)\n");
-  for (size_t b = 0; b < kNumBuckets; ++b) {
-    if (p50[0][b] <= 0 || p50[1][b] <= 0) continue;
-    const double speedup = p50[0][b] / p50[1][b];
-    const double expansion_ratio =
-        expanded[1][b] > 0 ? expanded[0][b] / expanded[1][b] : 0.0;
-    std::printf("         %-8s %.2fx wall, %.2fx expansions\n",
-                BucketLabel(b).c_str(), speedup, expansion_ratio);
-    std::printf(
-        "BENCH_METRIC {\"metric\":\"long_gap_speedup\",\"dataset\":"
-        "\"KIEL\",\"bucket_km\":\"%s\",\"n\":%zu,\"p50_speedup\":%.3f,"
-        "\"expansion_ratio\":%.3f}\n",
-        BucketLabel(b).c_str(), bucket_n[b], speedup, expansion_ratio);
+  // Each bound against the search it would replace: the lattice corridor
+  // against plain Dijkstra, the landmark corridor against the lattice one
+  // (keeping landmarks needs >= 1.3x in a >= 20 km bucket; ROADMAP 3b).
+  std::printf("  speedup per bucket (p50 wall, mean expansions)\n");
+  for (const auto [mode, over] : {std::pair{1, 0}, std::pair{2, 1}}) {
+    for (size_t b = 0; b < kNumBuckets; ++b) {
+      if (p50[mode][b] <= 0 || p50[over][b] <= 0) continue;
+      const double speedup = p50[over][b] / p50[mode][b];
+      const double expansion_ratio =
+          expanded[mode][b] > 0 ? expanded[over][b] / expanded[mode][b]
+                                : 0.0;
+      std::printf("  %-8s over %-7s %-9s %.2fx wall, %.2fx expansions\n",
+                  kModeNames[mode], kModeNames[over], BucketLabel(b).c_str(),
+                  speedup, expansion_ratio);
+      std::printf(
+          "BENCH_METRIC {\"metric\":\"long_gap_speedup\",\"dataset\":"
+          "\"KIEL\",\"search\":\"%s\",\"over\":\"%s\",\"bucket_km\":\"%s\","
+          "\"n\":%zu,\"p50_speedup\":%.3f,\"expansion_ratio\":%.3f}\n",
+          kModeNames[mode], kModeNames[over], BucketLabel(b).c_str(),
+          bucket_n[b], speedup, expansion_ratio);
+    }
   }
-  std::remove(snapshot_path.c_str());
 }
 
 }  // namespace

@@ -71,8 +71,9 @@ const char kMapKey[] = "map";
 // ALT landmark parameters (habit only): "landmarks=<k>" precomputes k
 // landmark distance columns at save time (they persist in the snapshot v3
 // landmark section), "alt=1" enables the landmark-accelerated search when
-// serving a loaded snapshot. alt changes search effort, never output —
-// imputed paths are identical with and without it.
+// serving a loaded snapshot whose graph the hex-lattice bound does not
+// cover (habit/imputer.h; e.g. cost=invfreq). alt changes search effort,
+// never output — imputed paths are identical with and without it.
 const char kLandmarksKey[] = "landmarks";
 const char kAltKey[] = "alt";
 
@@ -455,11 +456,12 @@ Result<std::unique_ptr<ImputationModel>> HabitModel::Make(
   Stopwatch build_timer;
   std::unique_ptr<core::HabitFramework> framework;
   if (!load_path.empty()) {
-    // O(read) cold start — O(page-in) with map=1: the snapshot is
-    // self-describing (build config + frozen CSR arrays), so build
-    // parameters alongside load= are rejected — a spec must never serve a
-    // graph under a mismatched resolution or cost policy. map= and alt=
-    // are serving parameters and stay legal.
+    // O(read) cold start — O(page-in) with map=1, where the Imputer's
+    // lattice-bound check pages in the id and edge arrays once. The
+    // snapshot is self-describing (build config + frozen CSR arrays), so
+    // build parameters alongside load= are rejected — a spec must never
+    // serve a graph under a mismatched resolution or cost policy. map=
+    // and alt= are serving parameters and stay legal.
     HABIT_RETURN_NOT_OK(RejectBuildParamsWithLoad(spec, {kMapKey, kAltKey}));
     HABIT_ASSIGN_OR_RETURN(framework,
                            core::LoadModelSnapshot(load_path, mapped));

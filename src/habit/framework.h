@@ -71,7 +71,8 @@ class HabitFramework {
   Status PrecomputeLandmarks(size_t k);
 
   /// Turns ALT acceleration on or off for subsequent queries; only
-  /// effective when the graph carries landmark columns. Either way,
+  /// effective when the graph carries landmark columns and the lattice
+  /// bound does not hold (see Imputer). Either way,
   /// imputed outputs are identical — landmarks change search effort only.
   void set_use_landmarks(bool on) { imputer_->set_use_landmarks(on); }
 

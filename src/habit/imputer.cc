@@ -189,24 +189,15 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
 
   // The answer is plain Dijkstra's (zero heuristic). The corridor search
   // returns it byte for byte from less work, guided by the lattice bound
-  // (centered on the nearest target candidate) and, with landmarks
-  // enabled, by the snapshot's ALT columns too (see graph/search.h).
-  const bool alt = use_landmarks_ && graph_->num_landmarks() > 0;
+  // (centered on the nearest target candidate) where it holds, else by
+  // the snapshot's ALT columns when landmarks are enabled (see
+  // graph/search.h).
   graph::CsrSearch run;
   if (lattice_bound_) {
-    const LatticeBound lattice(*graph_, dst_cands.front(), target_idx);
-    if (alt) {
-      graph::PrepareAltQuery(*graph_, target_idx, seeds, *scratch);
-      const graph::LandmarkHeuristic landmark(*graph_, *scratch);
-      run = graph::RunSearchCorridor(
-          *graph_, seeds, is_target,
-          [&](graph::NodeIndex u) { return std::max(lattice(u), landmark(u)); },
-          *scratch);
-    } else {
-      run = graph::RunSearchCorridor(*graph_, seeds, is_target, lattice,
-                                     *scratch);
-    }
-  } else if (alt) {
+    run = graph::RunSearchCorridor(
+        *graph_, seeds, is_target,
+        LatticeBound(*graph_, dst_cands.front(), target_idx), *scratch);
+  } else if (use_landmarks_ && graph_->num_landmarks() > 0) {
     run = graph::RunSearchAlt(*graph_, seeds, is_target, target_idx,
                               *scratch);
   } else {

@@ -81,9 +81,8 @@ bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution);
 ///
 /// Every query returns plain Dijkstra's path. Where the lattice bound holds
 /// (checked once, at construction) the search runs as
-/// graph::RunSearchCorridor guided by it, and by max(lattice, landmark)
-/// with landmarks on; otherwise it is plain Dijkstra, or the landmark
-/// corridor alone.
+/// graph::RunSearchCorridor guided by it; otherwise it is the landmark
+/// corridor with landmarks on, or plain Dijkstra.
 class Imputer {
  public:
   /// Reusable search working state (one per querying thread).
@@ -130,14 +129,11 @@ class Imputer {
 
   /// Turns ALT landmark acceleration on or off for subsequent queries.
   /// Only effective when the frozen graph carries landmark columns (a v3
-  /// snapshot saved with landmarks=k); otherwise queries stay on the plain
-  /// zero-heuristic baseline. On or off, imputed outputs are identical.
+  /// snapshot saved with landmarks=k) and the lattice bound does not hold
+  /// (it prunes more cheaply); otherwise queries run as without it. On or
+  /// off, imputed outputs are identical.
   void set_use_landmarks(bool on) { use_landmarks_ = on; }
   bool use_landmarks() const { return use_landmarks_; }
-
-  /// Whether queries are guided by the lattice bound (LatticeBoundHolds
-  /// for this graph at the configured resolution).
-  bool lattice_bound() const { return lattice_bound_; }
 
  private:
   const graph::CompactGraph* graph_;

@@ -561,7 +561,9 @@ TEST(ApiTest, AltServingIsByteIdenticalToBaseline) {
   // The ALT acceleration contract at the API boundary: a snapshot saved
   // with landmarks= served with alt=1 (heap or mapped) must produce
   // byte-identical imputations to the same snapshot served without —
-  // landmarks change search effort, never output.
+  // landmarks change search effort, never output. On this hop-cost graph
+  // the lattice bound holds, so alt=1 runs the same lattice corridor as
+  // the baseline and reports the same effort too.
   const auto trips = MakeTrips();
   const std::string path =
       (std::filesystem::temp_directory_path() / "api_alt.snap").string();
@@ -594,6 +596,8 @@ TEST(ApiTest, AltServingIsByteIdenticalToBaseline) {
         EXPECT_EQ(want[i].value().path, got[i].value().path)
             << serve_params << " request " << i;
         EXPECT_EQ(want[i].value().timestamps, got[i].value().timestamps)
+            << serve_params << " request " << i;
+        EXPECT_EQ(want[i].value().expanded, got[i].value().expanded)
             << serve_params << " request " << i;
       }
     }

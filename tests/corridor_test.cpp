@@ -5,8 +5,9 @@
 // a seed that is itself a target, and unreachable target sets. Also pins
 // the bound's admissibility and consistency, the validity scan that
 // switches it off (an edge cheaper than its grid distance, a node at
-// another resolution), and a differential over seeded KIEL gaps snapped
-// through Imputer::SnapCandidates.
+// another resolution), a differential over seeded KIEL gaps snapped
+// through Imputer::SnapCandidates, and the landmark corridor the imputer
+// runs where the bound fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,14 +263,14 @@ std::optional<Query> ImputerQuery(const core::Imputer& imputer,
   return q;
 }
 
-// Imputes the gap between the row's ends: the imputer must use the
-// lattice bound iff `bound_on`, and return plain Dijkstra's cells either
-// way — with plain Dijkstra's effort when the bound is off.
+// Imputes the gap between the row's ends: the imputer must return plain
+// Dijkstra's cells whether or not the lattice bound holds — with less
+// effort than plain Dijkstra when it holds, and the same effort when not.
 void ExpectImputerReturnsPlain(const CompactGraph& g, bool bound_on) {
   core::HabitConfig config;
   config.resolution = kRes;
+  EXPECT_EQ(core::LatticeBoundHolds(g, config.resolution), bound_on);
   const core::Imputer imputer(&g, config);
-  EXPECT_EQ(imputer.lattice_bound(), bound_on);
   const geo::LatLng a = hex::CellToLatLng(RowCell(0));
   const geo::LatLng b = hex::CellToLatLng(RowCell(kRowLength - 1));
   const std::optional<Query> q = ImputerQuery(imputer, g, kRes, a, b);
@@ -343,7 +344,7 @@ TEST(LatticeCorridorTest, KielGapsMatchPlainDijkstra) {
   ASSERT_TRUE(fw.ok()) << fw.status().ToString();
   const CompactGraph& g = fw.value()->graph();
   const core::Imputer& imputer = fw.value()->imputer();
-  ASSERT_TRUE(imputer.lattice_bound());
+  ASSERT_TRUE(core::LatticeBoundHolds(g, config.resolution));
 
   Rng rng(7);
   size_t queries = 0, found = 0, plain = 0, corridor = 0;
@@ -378,6 +379,50 @@ TEST(LatticeCorridorTest, KielGapsMatchPlainDijkstra) {
   EXPECT_GE(queries, 500u);
   EXPECT_GT(found, queries / 2);
   EXPECT_LT(corridor, plain);
+}
+
+// Where the lattice bound fails (cost=invfreq: steps cost less than 1)
+// the imputer runs plain Dijkstra, or with landmarks on the ALT corridor:
+// the same cells from fewer settled nodes.
+TEST(LatticeCorridorTest, LandmarksGuideTheSearchWhereTheBoundFails) {
+  eval::ExperimentOptions options;
+  options.scale = 0.3;
+  options.seed = 42;
+  auto exp = eval::PrepareExperiment("KIEL", options);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  core::HabitConfig config;
+  config.resolution = 9;
+  config.edge_cost = core::EdgeCostPolicy::kInverseFrequency;
+  auto fw = core::HabitFramework::Build(exp.value().train_trips, config);
+  ASSERT_TRUE(fw.ok()) << fw.status().ToString();
+  core::HabitFramework& model = *fw.value();
+  ASSERT_FALSE(core::LatticeBoundHolds(model.graph(), config.resolution));
+  ASSERT_TRUE(model.PrecomputeLandmarks(8).ok());
+
+  Rng rng(3);
+  size_t found = 0, plain = 0, alt = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (const ais::Trip& trip : exp.value().test_trips) {
+      sim::GapOptions gap_options;
+      gap_options.gap_seconds = 120 * 60;
+      const std::optional<sim::GapCase> gap =
+          sim::InjectGap(trip, gap_options, &rng);
+      if (!gap) continue;
+      model.set_use_landmarks(false);
+      auto want = model.Impute(gap->gap_start.pos, gap->gap_end.pos);
+      model.set_use_landmarks(true);
+      auto got = model.Impute(gap->gap_start.pos, gap->gap_end.pos);
+      ASSERT_EQ(want.ok(), got.ok());
+      if (!want.ok()) continue;
+      ++found;
+      EXPECT_EQ(got.value().cells, want.value().cells);
+      EXPECT_LE(got.value().expanded, want.value().expanded);
+      plain += want.value().expanded;
+      alt += got.value().expanded;
+    }
+  }
+  EXPECT_GE(found, 20u);
+  EXPECT_LT(alt, plain);
 }
 
 }  // namespace
