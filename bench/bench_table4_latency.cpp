@@ -268,7 +268,8 @@ void RunLongGapSection(const habit::eval::Experiment& exp) {
   }
   const core::HabitFramework& model = *built.value();
   const graph::CompactGraph& g = model.graph();
-  if (!core::LatticeBoundHolds(g, config.resolution)) {
+  const core::LatticeScan scan = core::ScanLattice(g, config.resolution);
+  if (!scan.holds) {
     std::printf("\nlong-gap section skipped: the lattice bound does not "
                 "hold on the r=10 graph\n");
     return;
@@ -296,10 +297,10 @@ void RunLongGapSection(const habit::eval::Experiment& exp) {
       case 1:
         return graph::RunSearchCorridor(
             g, q.seeds, is_target, core::LatticeBound(g, q.center, q.targets),
-            scratch);
+            scan.w_min, scratch);
       case 2:
         return graph::RunSearchAlt(g, q.seeds, is_target, q.targets,
-                                   scratch);
+                                   scan.w_min, scratch);
       default:
         return graph::RunSearch(
             g, q.seeds, is_target, [](graph::NodeIndex) { return 0.0; },

@@ -138,14 +138,16 @@ class LandmarkHeuristic {
 /// `RunSearch(g, seeds, is_target, zero, scratch)` returns — same target,
 /// same parent chain, same cost — with `expanded` counting only the nodes
 /// the corridor admitted. `targets` must hold the same node set
-/// `is_target` accepts (it feeds the per-query bound aggregation).
-/// Degrades to the plain baseline when the graph carries no landmarks or
-/// no landmark relays the seed set to the target set.
+/// `is_target` accepts (it feeds the per-query bound aggregation), and
+/// `w_min` is a positive lower bound on every edge weight (the corridor
+/// replay's bucket width). Degrades to the plain baseline when the graph
+/// carries no landmarks or no landmark relays the seed set to the target
+/// set.
 template <typename IsTargetFn>
 CsrSearch RunSearchAlt(const CompactGraph& g,
                        std::span<const SearchSeed> seeds,
                        IsTargetFn&& is_target,
-                       std::span<const NodeIndex> targets,
+                       std::span<const NodeIndex> targets, double w_min,
                        SearchScratch& scratch) {
   const auto zero = [](NodeIndex) { return 0.0; };
   if (g.num_landmarks() == 0 || targets.empty()) {
@@ -159,7 +161,7 @@ CsrSearch RunSearchAlt(const CompactGraph& g,
     return RunSearch(g, seeds, is_target, zero, scratch);
   }
   return RunSearchCorridor(g, seeds, is_target,
-                           LandmarkHeuristic(g, scratch), scratch);
+                           LandmarkHeuristic(g, scratch), w_min, scratch);
 }
 
 }  // namespace habit::graph

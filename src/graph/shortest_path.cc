@@ -40,7 +40,8 @@ Result<PathResult> Dijkstra(const CompactGraph& g, NodeId source,
 }
 
 Result<PathResult> DijkstraAlt(const CompactGraph& g, NodeId source,
-                               NodeId target, SearchScratch* scratch) {
+                               NodeId target, double w_min,
+                               SearchScratch* scratch) {
   const NodeIndex src = g.IndexOf(source);
   if (src == kInvalidNodeIndex) {
     return Status::NotFound("source node not in graph");
@@ -54,7 +55,7 @@ Result<PathResult> DijkstraAlt(const CompactGraph& g, NodeId source,
   const SearchSeed seed{src, 0.0};
   const CsrSearch run = RunSearchAlt(
       g, {&seed, 1}, [dst](NodeIndex u) { return u == dst; }, {&dst, 1},
-      state);
+      w_min, state);
   if (!run.found) {
     return Status::Unreachable("no path from source to target");
   }

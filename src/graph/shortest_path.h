@@ -63,8 +63,9 @@ Result<PathResult> Dijkstra(const CompactGraph& g, NodeId source,
 /// graph/landmarks.h). Returns the same path, cost, and parent chain as
 /// `Dijkstra` — the landmarks only shrink the explored corridor — and
 /// degrades to plain Dijkstra when the graph carries no landmarks.
+/// `w_min` is a positive lower bound on every edge weight of `g`.
 Result<PathResult> DijkstraAlt(const CompactGraph& g, NodeId source,
-                               NodeId target,
+                               NodeId target, double w_min,
                                SearchScratch* scratch = nullptr);
 
 /// Single-source Dijkstra distances to every reachable node.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "graph/landmarks.h"
 
@@ -16,30 +17,32 @@ LatticeBound::LatticeBound(const graph::CompactGraph& g, hex::CellId center,
   }
 }
 
-bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution) {
+LatticeScan ScanLattice(const graph::CompactGraph& g, int resolution) {
+  LatticeScan scan{true, std::numeric_limits<double>::infinity()};
   for (graph::NodeIndex u = 0; u < g.num_nodes(); ++u) {
     if (hex::Resolution(static_cast<hex::CellId>(g.IdOf(u))) != resolution) {
-      return false;
+      scan.holds = false;
     }
-  }
-  for (graph::NodeIndex u = 0; u < g.num_nodes(); ++u) {
     const hex::Axial from = hex::CellToAxial(g.IdOf(u));
     const auto neighbors = g.OutNeighbors(u);
     const auto weights = g.OutWeights(u);
     for (size_t e = 0; e < neighbors.size(); ++e) {
+      const double w = weights[e];
+      if (w < scan.w_min || std::isnan(w)) scan.w_min = w;  // NaN sticks
+      if (!scan.holds) continue;
       const int64_t hops = std::max<int64_t>(
           1, hex::AxialDistance(from, hex::CellToAxial(g.IdOf(neighbors[e]))));
       // Negated so a NaN weight fails the check too.
-      if (!(weights[e] >= static_cast<double>(hops))) return false;
+      if (!(w >= static_cast<double>(hops))) scan.holds = false;
     }
   }
-  return true;
+  return scan;
 }
 
 Imputer::Imputer(const graph::CompactGraph* graph, const HabitConfig& config)
     : graph_(graph),
       config_(config),
-      lattice_bound_(LatticeBoundHolds(*graph, config.resolution)) {}
+      scan_(ScanLattice(*graph, config.resolution)) {}
 
 std::vector<hex::CellId> Imputer::SnapCandidates(
     const geo::LatLng& p, SnapRole role, size_t max_candidates) const {
@@ -193,13 +196,15 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
   // the snapshot's ALT columns when landmarks are enabled (see
   // graph/search.h).
   graph::CsrSearch run;
-  if (lattice_bound_) {
+  if (scan_.holds) {
     run = graph::RunSearchCorridor(
         *graph_, seeds, is_target,
-        LatticeBound(*graph_, dst_cands.front(), target_idx), *scratch);
-  } else if (use_landmarks_ && graph_->num_landmarks() > 0) {
+        LatticeBound(*graph_, dst_cands.front(), target_idx), scan_.w_min,
+        *scratch);
+  } else if (use_landmarks_ && graph_->num_landmarks() > 0 &&
+             scan_.w_min > 0.0 && std::isfinite(scan_.w_min)) {
     run = graph::RunSearchAlt(*graph_, seeds, is_target, target_idx,
-                              *scratch);
+                              scan_.w_min, *scratch);
   } else {
     run = graph::RunSearch(
         *graph_, seeds, is_target, [](graph::NodeIndex) { return 0.0; },

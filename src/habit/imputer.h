@@ -45,7 +45,7 @@ struct Imputation {
 /// max(0, hexdist(u, c) - R) is admissible and consistent (it changes by
 /// at most hexdist(u, v) <= w(u, v) along an edge), computed from the node
 /// id alone: no per-node array, no snapshot section. Valid only where
-/// LatticeBoundHolds(g, resolution).
+/// ScanLattice(g, resolution).holds.
 class LatticeBound {
  public:
   /// `center` must be a cell of the graph's resolution; `targets` are the
@@ -65,12 +65,22 @@ class LatticeBound {
   int64_t radius_ = 0;
 };
 
-/// True iff LatticeBound is admissible and consistent on `g`: every node
-/// id is a valid cell at `resolution` and every edge costs at least
-/// max(1, grid distance). The factor is fixed at 1, not fitted per graph,
-/// so a shard and the full graph it was cut from prune alike. One O(V + E)
-/// scan.
-bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution);
+/// What the corridor search may assume about a graph, from one O(V + E)
+/// scan (ScanLattice).
+struct LatticeScan {
+  /// LatticeBound is admissible and consistent: every node id is a valid
+  /// cell at the scanned resolution and every edge costs at least
+  /// max(1, grid distance). The factor is fixed at 1, not fitted per
+  /// graph, so a shard and the full graph it was cut from prune alike.
+  bool holds = false;
+  /// The smallest edge weight: the corridor replay's `w_min`
+  /// (graph::RunSearchCorridor). At least 1 wherever `holds`; NaN when a
+  /// weight is NaN, +inf on a graph without edges.
+  double w_min = 0.0;
+};
+
+/// Scans `g` once for LatticeScan's two facts at `resolution`.
+LatticeScan ScanLattice(const graph::CompactGraph& g, int resolution);
 
 /// \brief Imputes gaps against a frozen transition graph.
 ///
@@ -80,9 +90,10 @@ bool LatticeBoundHolds(const graph::CompactGraph& g, int resolution);
 /// caller-owned scratch shared across a batch.
 ///
 /// Every query returns plain Dijkstra's path. Where the lattice bound holds
-/// (checked once, at construction) the search runs as
+/// (ScanLattice, once, at construction) the search runs as
 /// graph::RunSearchCorridor guided by it; otherwise it is the landmark
-/// corridor with landmarks on, or plain Dijkstra.
+/// corridor with landmarks on and a positive, finite `w_min`, or plain
+/// Dijkstra.
 class Imputer {
  public:
   /// Reusable search working state (one per querying thread).
@@ -139,7 +150,7 @@ class Imputer {
   const graph::CompactGraph* graph_;
   HabitConfig config_;
   bool use_landmarks_ = false;
-  bool lattice_bound_ = false;
+  LatticeScan scan_;
 };
 
 }  // namespace habit::core

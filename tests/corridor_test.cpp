@@ -2,7 +2,10 @@
 // must return EXACTLY what plain Dijkstra (RunSearch with a zero
 // heuristic) returns — reachability, target, cost and the full parent
 // chain — on tie-heavy random lattice graphs, with many seeds and targets,
-// a seed that is itself a target, and unreachable target sets. Also pins
+// a seed that is itself a target, and unreachable target sets. The bucket
+// replay gets its own cases: seed costs spread past the largest edge,
+// targets sharing one bucket (exact `expanded`), and a run without target
+// checked node by node against RunSearch's distances and parents. Also pins
 // the bound's admissibility and consistency, the validity scan that
 // switches it off (an edge cheaper than its grid distance, a node at
 // another resolution), a differential over seeded KIEL gaps snapped
@@ -13,6 +16,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -76,15 +80,22 @@ NodeIndex RandomNode(const CompactGraph& g, Rng& rng) {
   return static_cast<NodeIndex>(rng.UniformInt(0, g.num_nodes() - 1));
 }
 
-// Up to `max_seeds` seeds (costs in [0, 2), some exactly 0) and up to
-// `max_targets` targets clustered around a random center node.
+// Up to `max_seeds` seeds and up to `max_targets` targets clustered
+// around a random center node. The first seed costs 0; about a quarter of
+// the others repeat an earlier seed's cost, the rest draw from
+// [0, max_seed_cost).
 Query RandomQuery(const CompactGraph& g, Rng& rng, int max_seeds,
-                  int max_targets) {
+                  int max_targets, double max_seed_cost = 2.0) {
   Query q;
   const int num_seeds = static_cast<int>(rng.UniformInt(1, max_seeds));
   for (int i = 0; i < num_seeds; ++i) {
-    q.seeds.push_back(
-        {RandomNode(g, rng), i == 0 ? 0.0 : rng.Uniform(0.0, 2.0)});
+    double cost = 0.0;
+    if (i > 0) {
+      cost = rng.Uniform(0, 1) < 0.25
+                 ? q.seeds[rng.UniformInt(0, i - 1)].cost
+                 : rng.Uniform(0.0, max_seed_cost);
+    }
+    q.seeds.push_back({RandomNode(g, rng), cost});
   }
   const NodeIndex center = RandomNode(g, rng);
   q.center = g.IdOf(center);
@@ -108,8 +119,9 @@ struct Compared {
 };
 
 // Runs plain Dijkstra and the lattice corridor on `q` and asserts they
-// agree on everything but effort.
-Compared ExpectCorridorMatchesPlain(const CompactGraph& g, const Query& q) {
+// agree on everything but effort. `w_min` is the graph's ScanLattice value.
+Compared ExpectCorridorMatchesPlain(const CompactGraph& g, const Query& q,
+                                    double w_min) {
   const auto is_target = [&](NodeIndex u) {
     return std::binary_search(q.targets.begin(), q.targets.end(), u);
   };
@@ -118,7 +130,8 @@ Compared ExpectCorridorMatchesPlain(const CompactGraph& g, const Query& q) {
       graph::RunSearch(g, q.seeds, is_target, kZero, plain_scratch);
   const core::LatticeBound bound(g, q.center, q.targets);
   const CsrSearch got = graph::RunSearchCorridor(g, q.seeds, is_target,
-                                                 bound, corridor_scratch);
+                                                 bound, w_min,
+                                                 corridor_scratch);
   EXPECT_EQ(want.found, got.found);
   if (want.found && got.found) {
     EXPECT_EQ(want.reached, got.reached);
@@ -141,12 +154,13 @@ TEST(LatticeCorridorTest, RandomLatticeGraphsMatchPlainDijkstra) {
   for (const bool tie_heavy : {true, false}) {
     for (const uint64_t seed : {3u, 5u, 8u}) {
       const CompactGraph g = MakeLatticeGraph(seed, tie_heavy);
-      ASSERT_TRUE(core::LatticeBoundHolds(g, kRes));
+      const core::LatticeScan scan = core::ScanLattice(g, kRes);
+      ASSERT_TRUE(scan.holds);
       Rng rng(seed * 31 + (tie_heavy ? 1 : 0));
       size_t plain = 0, corridor = 0;
       for (int trial = 0; trial < 80; ++trial) {
-        const Compared c =
-            ExpectCorridorMatchesPlain(g, RandomQuery(g, rng, 6, 20));
+        const Compared c = ExpectCorridorMatchesPlain(
+            g, RandomQuery(g, rng, 6, 20), scan.w_min);
         plain += c.plain_expanded;
         corridor += c.corridor_expanded;
       }
@@ -165,7 +179,7 @@ TEST(LatticeCorridorTest, SeedThatIsATargetAndUnreachableTargets) {
     // seed may still win.
     Query q = RandomQuery(g, rng, 4, 8);
     q.seeds.push_back({q.targets.back(), rng.Uniform(0.0, 3.0)});
-    ExpectCorridorMatchesPlain(g, q);
+    ExpectCorridorMatchesPlain(g, q, core::ScanLattice(g, kRes).w_min);
   }
 
   // Targets that nothing enters: a node appended with no edges at all.
@@ -178,12 +192,167 @@ TEST(LatticeCorridorTest, SeedThatIsATargetAndUnreachableTargets) {
   with_island.AddEdge(hex::AxialToCell(kRes, {0, 0}),
                       hex::AxialToCell(kRes, {1, 0}), unit);
   const CompactGraph h = with_island.Freeze(/*keep_attrs=*/false);
-  ASSERT_TRUE(core::LatticeBoundHolds(h, kRes));
+  ASSERT_TRUE(core::ScanLattice(h, kRes).holds);
   Query q;
   q.seeds = {{h.IndexOf(hex::AxialToCell(kRes, {0, 0})), 0.0}};
   q.targets = {h.IndexOf(island)};
   q.center = island;
-  EXPECT_TRUE(ExpectCorridorMatchesPlain(h, q).cells.empty());
+  EXPECT_TRUE(ExpectCorridorMatchesPlain(h, q, 1.0).cells.empty());
+}
+
+// Seed costs spread up to 12 — past the largest edge weight (3 on the
+// tie-heavy graphs, 6 on the uniform ones), with repeated costs among
+// them: a bucket ring sized by the edge weights alone would alias seeds
+// into the wrong buckets.
+TEST(LatticeCorridorTest, SeedCostsSpreadPastTheLargestEdge) {
+  for (const bool tie_heavy : {true, false}) {
+    for (const uint64_t seed : {29u, 31u}) {
+      const CompactGraph g = MakeLatticeGraph(seed, tie_heavy);
+      const core::LatticeScan scan = core::ScanLattice(g, kRes);
+      ASSERT_TRUE(scan.holds);
+      Rng rng(seed * 7 + (tie_heavy ? 1 : 0));
+      for (int trial = 0; trial < 80; ++trial) {
+        ExpectCorridorMatchesPlain(g, RandomQuery(g, rng, 12, 20, 12.0),
+                                   scan.w_min);
+      }
+    }
+  }
+}
+
+const auto kNever = [](NodeIndex) { return false; };
+
+// Plain Dijkstra to exhaustion from `seeds`: the reference state.
+SearchScratch ExhaustPlain(const CompactGraph& g,
+                           std::span<const SearchSeed> seeds) {
+  SearchScratch plain;
+  graph::RunSearch(g, seeds, kNever, kZero, plain);
+  return plain;
+}
+
+// Every target shares one replay bucket (distances within one width,
+// w_min / 2, of each other). The replay scans a bucket unsorted, so its
+// answer must still be the smallest (dist, node) target, and `expanded`
+// exactly the corridor nodes that RunSearch settles up to that target.
+TEST(LatticeCorridorTest, TargetsSettlingInOneBucket) {
+  for (const bool tie_heavy : {true, false}) {
+    for (const uint64_t seed : {37u, 41u}) {
+      const CompactGraph g = MakeLatticeGraph(seed, tie_heavy);
+      const core::LatticeScan scan = core::ScanLattice(g, kRes);
+      ASSERT_TRUE(scan.holds);
+      const double width = scan.w_min / 2;
+      Rng rng(seed * 11 + (tie_heavy ? 1 : 0));
+      int shared = 0;
+      for (int trial = 0; trial < 60; ++trial) {
+        Query q = RandomQuery(g, rng, 6, 1, 12.0);
+        const SearchScratch plain = ExhaustPlain(g, q.seeds);
+        const NodeIndex pick = RandomNode(g, rng);
+        if (!plain.Settled(pick)) continue;
+        const auto bucket = [&](NodeIndex v) {
+          return static_cast<size_t>(plain.dist[v] / width);
+        };
+        q.targets.clear();
+        for (NodeIndex v = 0; v < g.num_nodes(); ++v) {
+          if (plain.Settled(v) && bucket(v) == bucket(pick)) {
+            q.targets.push_back(v);
+          }
+        }
+        q.center = g.IdOf(q.targets[rng.UniformInt(0, q.targets.size() - 1)]);
+        if (q.targets.size() > 1) ++shared;
+        ExpectCorridorMatchesPlain(g, q, scan.w_min);
+
+        // The replay alone, at a limit a few hops past the targets.
+        const core::LatticeBound bound(g, q.center, q.targets);
+        const auto is_target = [&](NodeIndex u) {
+          return std::binary_search(q.targets.begin(), q.targets.end(), u);
+        };
+        const double limit = plain.dist[pick] + 3.0;
+        SearchScratch replay;
+        // lint: corridor-home(the replay is compared with RunSearch itself)
+        const CsrSearch got = graph::RunSearchPruned(
+            g, q.seeds, is_target, bound, limit, scan.w_min, replay);
+        NodeIndex want = q.targets.front();
+        for (const NodeIndex t : q.targets) {
+          if (plain.dist[t] < plain.dist[want]) want = t;
+        }
+        size_t want_expanded = 0;
+        for (NodeIndex v = 0; v < g.num_nodes(); ++v) {
+          if (!plain.Settled(v) || plain.dist[v] + bound(v) > limit) continue;
+          if (plain.dist[v] < plain.dist[want] ||
+              (plain.dist[v] == plain.dist[want] && v <= want)) {
+            ++want_expanded;
+          }
+        }
+        ASSERT_TRUE(got.found);
+        EXPECT_EQ(got.reached, want);
+        EXPECT_EQ(got.cost, plain.dist[want]);
+        EXPECT_EQ(got.expanded, want_expanded);
+        EXPECT_EQ(graph::ReconstructPath(replay, got.reached),
+                  graph::ReconstructPath(plain, want));
+      }
+      // Most picks must share their bucket, or this proves little.
+      EXPECT_GT(shared, 20) << "seed " << seed;
+    }
+  }
+}
+
+// With no target the replay settles every node it records, which must
+// be its whole corridor, { v : dist(v) + bound(v) <= limit }, each at
+// RunSearch's distance and with RunSearch's parent. Under a zero bound and
+// a limit past every distance, that is the full plain Dijkstra state.
+TEST(LatticeCorridorTest, ExhaustiveReplayMatchesPlainDistancesAndParents) {
+  for (const bool tie_heavy : {true, false}) {
+    for (const uint64_t seed : {43u, 47u}) {
+      const CompactGraph g = MakeLatticeGraph(seed, tie_heavy);
+      const core::LatticeScan scan = core::ScanLattice(g, kRes);
+      ASSERT_TRUE(scan.holds);
+      Rng rng(seed * 13 + (tie_heavy ? 1 : 0));
+      for (int trial = 0; trial < 20; ++trial) {
+        Query q = RandomQuery(g, rng, 6, 20, 12.0);
+        // One more seed costs exactly its node's path cost. RunSearch
+        // keeps such a node a seed (no parent) on the tie; so must the
+        // replay.
+        const SearchScratch unseeded = ExhaustPlain(g, q.seeds);
+        const NodeIndex tied = RandomNode(g, rng);
+        if (unseeded.Settled(tied)) {
+          q.seeds.push_back({tied, unseeded.dist[tied]});
+        }
+        const SearchScratch plain = ExhaustPlain(g, q.seeds);
+        double farthest = 0.0;
+        size_t reachable = 0;
+        for (NodeIndex v = 0; v < g.num_nodes(); ++v) {
+          if (!plain.Settled(v)) continue;
+          farthest = std::max(farthest, plain.dist[v]);
+          ++reachable;
+        }
+        const core::LatticeBound lattice(g, q.center, q.targets);
+        for (const bool zero_bound : {true, false}) {
+          const auto bound = [&](NodeIndex v) {
+            return zero_bound ? 0.0 : lattice(v);
+          };
+          const double limit = zero_bound ? farthest + 1.0 : farthest / 2;
+          SearchScratch replay;
+          // lint: corridor-home(the replay is compared with RunSearch itself)
+          const CsrSearch got = graph::RunSearchPruned(
+              g, q.seeds, kNever, bound, limit, scan.w_min, replay);
+          EXPECT_FALSE(got.found);
+          size_t corridor = 0;
+          for (NodeIndex v = 0; v < g.num_nodes(); ++v) {
+            const bool in = plain.Settled(v) &&
+                            plain.dist[v] + bound(v) <= limit;
+            ASSERT_EQ(replay.Visited(v), in) << "node " << v;
+            if (!in) continue;
+            ++corridor;
+            EXPECT_EQ(replay.dist[v], plain.dist[v]) << "node " << v;
+            EXPECT_EQ(replay.parent[v], plain.parent[v]) << "node " << v;
+          }
+          EXPECT_EQ(got.expanded, corridor);
+          if (zero_bound) {
+            EXPECT_EQ(corridor, reachable);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LatticeBoundTest, NeverExceedsTheDistanceToTheTargetSet) {
@@ -269,7 +438,7 @@ std::optional<Query> ImputerQuery(const core::Imputer& imputer,
 void ExpectImputerReturnsPlain(const CompactGraph& g, bool bound_on) {
   core::HabitConfig config;
   config.resolution = kRes;
-  EXPECT_EQ(core::LatticeBoundHolds(g, config.resolution), bound_on);
+  EXPECT_EQ(core::ScanLattice(g, config.resolution).holds, bound_on);
   const core::Imputer imputer(&g, config);
   const geo::LatLng a = hex::CellToLatLng(RowCell(0));
   const geo::LatLng b = hex::CellToLatLng(RowCell(kRowLength - 1));
@@ -298,10 +467,10 @@ void ExpectImputerReturnsPlain(const CompactGraph& g, bool bound_on) {
 
 TEST(LatticeBoundTest, ValidGraphEnablesTheBound) {
   const CompactGraph g = MakeRowGraph().Freeze(/*keep_attrs=*/false);
-  EXPECT_TRUE(core::LatticeBoundHolds(g, kRes));
+  EXPECT_TRUE(core::ScanLattice(g, kRes).holds);
   ExpectImputerReturnsPlain(g, /*bound_on=*/true);
   // The graph is valid at its own resolution only.
-  EXPECT_FALSE(core::LatticeBoundHolds(g, kRes + 1));
+  EXPECT_FALSE(core::ScanLattice(g, kRes + 1).holds);
 }
 
 TEST(LatticeBoundTest, EdgeBelowItsGridDistanceDisablesTheBound) {
@@ -312,21 +481,21 @@ TEST(LatticeBoundTest, EdgeBelowItsGridDistanceDisablesTheBound) {
   cheap.weight = 2.0;
   shortcut.AddEdge(RowCell(2), RowCell(50), cheap);
   const CompactGraph g = shortcut.Freeze(/*keep_attrs=*/false);
-  EXPECT_FALSE(core::LatticeBoundHolds(g, kRes));
+  EXPECT_FALSE(core::ScanLattice(g, kRes).holds);
   ExpectImputerReturnsPlain(g, /*bound_on=*/false);
 
   // So does a single unit step below 1 (the invfreq cost policy's range).
   graph::Digraph below_one = MakeRowGraph();
   cheap.weight = 0.9;
   below_one.AddEdge(RowCell(1), RowCell(2), cheap);
-  EXPECT_FALSE(core::LatticeBoundHolds(below_one.Freeze(false), kRes));
+  EXPECT_FALSE(core::ScanLattice(below_one.Freeze(false), kRes).holds);
 }
 
 TEST(LatticeBoundTest, MixedResolutionDisablesTheBound) {
   graph::Digraph mixed = MakeRowGraph();
   mixed.AddNode(hex::LatLngToCell({54.6, 10.5}, kRes - 1));
   const CompactGraph g = mixed.Freeze(/*keep_attrs=*/false);
-  EXPECT_FALSE(core::LatticeBoundHolds(g, kRes));
+  EXPECT_FALSE(core::ScanLattice(g, kRes).holds);
   ExpectImputerReturnsPlain(g, /*bound_on=*/false);
 }
 
@@ -344,7 +513,8 @@ TEST(LatticeCorridorTest, KielGapsMatchPlainDijkstra) {
   ASSERT_TRUE(fw.ok()) << fw.status().ToString();
   const CompactGraph& g = fw.value()->graph();
   const core::Imputer& imputer = fw.value()->imputer();
-  ASSERT_TRUE(core::LatticeBoundHolds(g, config.resolution));
+  const core::LatticeScan scan = core::ScanLattice(g, config.resolution);
+  ASSERT_TRUE(scan.holds);
 
   Rng rng(7);
   size_t queries = 0, found = 0, plain = 0, corridor = 0;
@@ -361,7 +531,7 @@ TEST(LatticeCorridorTest, KielGapsMatchPlainDijkstra) {
             gap->gap_end.pos);
         if (!q) continue;
         ++queries;
-        const Compared c = ExpectCorridorMatchesPlain(g, *q);
+        const Compared c = ExpectCorridorMatchesPlain(g, *q, scan.w_min);
         plain += c.plain_expanded;
         corridor += c.corridor_expanded;
         // The served answer is plain Dijkstra's path with the corridor's
@@ -379,6 +549,11 @@ TEST(LatticeCorridorTest, KielGapsMatchPlainDijkstra) {
   EXPECT_GE(queries, 500u);
   EXPECT_GT(found, queries / 2);
   EXPECT_LT(corridor, plain);
+  // `expanded` is on the wire: the totals are pinned to the heap-based
+  // replay's, which the bucket replay must reproduce node for node.
+  EXPECT_EQ(queries, 611u);
+  EXPECT_EQ(plain, 4648807u);
+  EXPECT_EQ(corridor, 2699502u);
 }
 
 // Where the lattice bound fails (cost=invfreq: steps cost less than 1)
@@ -396,7 +571,7 @@ TEST(LatticeCorridorTest, LandmarksGuideTheSearchWhereTheBoundFails) {
   auto fw = core::HabitFramework::Build(exp.value().train_trips, config);
   ASSERT_TRUE(fw.ok()) << fw.status().ToString();
   core::HabitFramework& model = *fw.value();
-  ASSERT_FALSE(core::LatticeBoundHolds(model.graph(), config.resolution));
+  ASSERT_FALSE(core::ScanLattice(model.graph(), config.resolution).holds);
   ASSERT_TRUE(model.PrecomputeLandmarks(8).ok());
 
   Rng rng(3);

@@ -27,6 +27,8 @@ namespace habit::graph {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// A lower bound on every MakeRandomGraph weight: DijkstraAlt's `w_min`.
+constexpr double kMinWeight = 0.1;
 
 std::string SnapshotPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -250,7 +252,7 @@ TEST(RunSearchAltTest, SingleSourceMatchesDijkstraExactly) {
         const NodeId s = ids[rng.UniformInt(0, ids.size() - 1)];
         const NodeId t = ids[rng.UniformInt(0, ids.size() - 1)];
         auto want = Dijkstra(g, s, t, &scratch_base);
-        auto got = DijkstraAlt(g, s, t, &scratch_alt);
+        auto got = DijkstraAlt(g, s, t, kMinWeight, &scratch_alt);
         ASSERT_EQ(want.ok(), got.ok())
             << "reachability diverged for " << s << " -> " << t;
         if (!want.ok()) continue;
@@ -298,7 +300,7 @@ TEST(RunSearchAltTest, MultiSeedMultiTargetMatchesBaseline) {
       const CsrSearch want =
           RunSearch(g, seeds, is_target, zero, scratch_base);
       const CsrSearch got =
-          RunSearchAlt(g, seeds, is_target, targets, scratch_alt);
+          RunSearchAlt(g, seeds, is_target, targets, kMinWeight, scratch_alt);
       ASSERT_EQ(want.found, got.found);
       if (!want.found) continue;
       EXPECT_EQ(want.reached, got.reached);
@@ -357,7 +359,7 @@ TEST(LandmarkSnapshotTest, RoundTripsThroughBothLoadPaths) {
     const NodeId s = ids[rng.UniformInt(0, ids.size() - 1)];
     const NodeId t = ids[rng.UniformInt(0, ids.size() - 1)];
     auto want = Dijkstra(frozen, s, t);
-    auto got = DijkstraAlt(mapped.value(), s, t);
+    auto got = DijkstraAlt(mapped.value(), s, t, kMinWeight);
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
       EXPECT_EQ(want.value().cost, got.value().cost);
@@ -402,7 +404,7 @@ TEST(LandmarkSnapshotTest, LegacyV2FilesLoadWithZeroLandmarks) {
     const NodeId s = frozen.IdOf(0);
     const NodeId t = frozen.IdOf(frozen.num_nodes() - 1);
     auto want = Dijkstra(loaded.value(), s, t);
-    auto got = DijkstraAlt(loaded.value(), s, t);
+    auto got = DijkstraAlt(loaded.value(), s, t, kMinWeight);
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
       EXPECT_EQ(want.value().cost, got.value().cost);

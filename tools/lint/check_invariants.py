@@ -50,12 +50,12 @@ rule name is shown in the violation message):
                server's WorkerPool; a second spawn site is a second
                scheduler that nests under the pool and escapes its bound.
                std::thread::hardware_concurrency is allowed anywhere.
-  corridor-home RunSearchPruned (the record-time-pruned search) is
-               called ONLY from graph/search.h: by RunSearchCorridor's
-               replay, and by RunSearch with a never-true prune. The
-               corridor's byte-identity argument (consistent bound,
-               probe-capped limit, slack) is made once there; a second
-               pruning caller would prune without it.
+  corridor-home RunSearchPruned (the record-time-pruned bucket-queue
+               replay) is called ONLY from graph/search.h's
+               RunSearchCorridor. The corridor's byte-identity argument
+               (consistent bound, probe-capped limit, slack, a positive
+               w_min) is made once there; a second caller would prune
+               without it.
   socket-io    Raw ::recv/::send/::read/::write (and the *msg/*from
                variants) only inside src/server/transport.cc, frame.cc,
                and line_client.h. Everything else goes through
@@ -90,7 +90,7 @@ THREAD_HOME = {"src/server/server.h", "src/server/server.cc",
                "src/api/epoch.h", "src/api/epoch.cc",
                "src/router/router.cc"}
 CORRIDOR_HOME = "src/graph/search.h"
-CORRIDOR_CALLERS = {"RunSearch", "RunSearchCorridor"}
+CORRIDOR_CALLER = "RunSearchCorridor"
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
                   "src/server/line_client.h"}
 
@@ -300,14 +300,14 @@ class Linter:
                     continue
                 owners = re.findall(r"\bCsrSearch\s+(\w+)\s*\(",
                                     code[:m.start()])
-                if owners and owners[-1] in CORRIDOR_CALLERS:
+                if owners and owners[-1] == CORRIDOR_CALLER:
                     continue
             line_no = code.count("\n", 0, m.start()) + 1
             self.report(
                 path, line_no, "corridor-home",
                 "RunSearchPruned is called only by graph/search.h's "
-                "RunSearch and RunSearchCorridor; prune through "
-                "RunSearchCorridor with an admissible, consistent bound",
+                "RunSearchCorridor; prune through RunSearchCorridor with "
+                "an admissible, consistent bound",
                 raw_lines)
 
     def check_socket_io(self, path: Path, rel: str, code: str,
