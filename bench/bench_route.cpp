@@ -14,14 +14,13 @@
 //    max_shard_peak_rss_kb stays strictly below the monolithic figure.
 //
 //   bench_route [scale] [clients] [frames_per_client] [batch] [parent_res]
-//               [--backend local|json|binary]
+//               [--backend local|binary]
 //
 //   --backend   what carries the router's shard fan-out: "local" (default)
-//               calls the server in-process; "json" and "binary" stand up
-//               a real TCP server on an ephemeral loopback port behind a
-//               RemoteBackend, speaking JSON lines or the negotiated
-//               binary frame protocol — the router->backend hop the
-//               sharded fleet deployment pays.
+//               calls the server in-process; "binary" stands up a real
+//               TCP server on an ephemeral loopback port behind a
+//               RemoteBackend, speaking HBTF frames — the router->backend
+//               hop the sharded fleet deployment pays.
 //
 // Machine-readable results are emitted as `BENCH_METRIC {json}` lines
 // (folded by bench/run_all.sh into the trajectory file).
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: bench_route [scale] [clients] "
                  "[frames_per_client] [batch] [parent_res]\n"
-                 "                   [--backend local|json|binary]\n");
+                 "                   [--backend local|binary]\n");
     return 2;
   };
   int positional = 0;
@@ -150,8 +149,7 @@ int main(int argc, char** argv) {
     if (arg == "--backend") {
       if (i + 1 >= argc) return usage();
       backend_mode = argv[++i];
-      if (backend_mode != "local" && backend_mode != "json" &&
-          backend_mode != "binary") {
+      if (backend_mode != "local" && backend_mode != "binary") {
         return usage();
       }
       continue;
@@ -207,7 +205,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- routed path: Router over the selected backend, warmed. "local"
-  // calls the server in-process; "json"/"binary" pay the real TCP hop a
+  // calls the server in-process; "binary" pays the real TCP hop a
   // sharded fleet pays, through RemoteBackend's pooled connections.
   server::ServerOptions server_options;
   server::Server server(server_options);
@@ -222,7 +220,6 @@ int main(int argc, char** argv) {
     server::ClientOptions client_options;
     client_options.connect_timeout_ms = 2000;
     client_options.io_timeout_ms = 30000;
-    client_options.binary = backend_mode == "binary";
     backends.push_back(std::make_shared<router::RemoteBackend>(
         server.bound_port(), client_options));
   }

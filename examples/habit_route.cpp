@@ -11,12 +11,11 @@
 // Two backend modes:
 //   --backends P1,P2,...   a habit_serve fleet on loopback ports; shard i
 //                          is served by port[i % N], the fallback by the
-//                          last port. Calls ride pooled LineClient
-//                          connections with connect/IO timeouts; each
-//                          connection negotiates the binary frame
-//                          protocol (--json-backends forces JSON lines);
-//                          a failed shard degrades to the fallback
-//                          instead of erroring the batch.
+//                          last port. Sub-frames travel as binary HBTF
+//                          frames on pooled LineClient connections with
+//                          connect/IO timeouts; a backend that is down,
+//                          or does not speak HBTF, degrades its shards
+//                          to the fallback instead of erroring the batch.
 //   --local                one in-process server::Server holds every
 //                          shard model behind one ModelCache — no
 //                          sockets, no fleet. Tests, CI, and
@@ -26,7 +25,6 @@
 //               [--port N | --stdin] [--map] [--retries N]
 //               [--connect-timeout-ms N] [--io-timeout-ms N]
 //               [--threads N] [--cache-bytes N] [--max-batch N]
-//               [--json-backends]
 //
 //   --manifest PATH        the shard manifest (required)
 //   --map                  serve shard snapshots zero-copy (mmap; load
@@ -40,8 +38,6 @@
 //                          the in-process server's pool and cache
 //                          (--local mode; --threads also sizes the
 //                          router's frame-dispatch pool)
-//   --json-backends        speak JSON lines to the fleet instead of
-//                          negotiating the binary frame protocol
 //   --port N               TCP port (loopback; 0 = ephemeral, default
 //                          7412); --stdin serves the pipe instead
 //
@@ -89,8 +85,7 @@ int Usage() {
       "usage: habit_route --manifest PATH (--local | --backends P1,P2,...)\n"
       "                   [--port N | --stdin] [--map] [--retries N]\n"
       "                   [--connect-timeout-ms N] [--io-timeout-ms N]\n"
-      "                   [--threads N] [--cache-bytes N] [--max-batch N]\n"
-      "                   [--json-backends]\n");
+      "                   [--threads N] [--cache-bytes N] [--max-batch N]\n");
   return 2;
 }
 
@@ -131,7 +126,6 @@ int main(int argc, char** argv) {
   server::ClientOptions client_options;
   client_options.connect_timeout_ms = 2000;
   client_options.io_timeout_ms = 10000;
-  client_options.binary = true;  // fall back to JSON against old servers
   server::ServerOptions local_options;
 
   for (int i = 1; i < argc; ++i) {
@@ -174,8 +168,6 @@ int main(int argc, char** argv) {
       backend_ports = ports.MoveValue();
     } else if (arg == "--stdin") {
       use_stdin = true;
-    } else if (arg == "--json-backends") {
-      client_options.binary = false;
     } else if (arg == "--map") {
       options.map_snapshots = true;
     } else if (arg == "--port") {
@@ -280,7 +272,7 @@ int main(int argc, char** argv) {
   // other connections meanwhile. The router's own frontend stays
   // JSON-only (routed responses carry "route"/"routes" members the
   // binary results frame cannot express); the binary protocol rides the
-  // router->backend hop via RemoteBackend's negotiation.
+  // router->backend hop.
   server::WorkerPool dispatch(local_options.threads);
   server::LineTransport transport(
       options.max_line_bytes,

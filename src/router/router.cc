@@ -4,16 +4,18 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "api/registry.h"
 #include "graph/snapshot.h"
+#include "server/frame.h"
 
 namespace habit::router {
 
 using server::Json;
 using server::Request;
+using server::frame::FrameResponse;
+using server::frame::ResponseTag;
 
 namespace {
 
@@ -59,6 +61,33 @@ Status VerifySnapshot(const ShardEntry& entry, const std::string& abs_path,
         " — the shard directory and manifest are out of sync");
   }
   return Status::OK();
+}
+
+// Reads one sub-frame's reply, which must carry tag `want`. A transport
+// failure keeps its status (kUnreachable drives the retry policy); any
+// other bad answer is the backend's own failure, reported in its words.
+// `what` names the sub-frame in that report ("sub-frame", "forward").
+Result<FrameResponse> ReadReply(const ShardBackend& backend,
+                                const ShardBackend::Pending& pending,
+                                const char* what, ResponseTag want) {
+  HABIT_ASSIGN_OR_RETURN(const std::string payload, pending());
+  auto reply = server::frame::DecodeResponsePayload(payload);
+  if (!reply.ok()) {
+    return Status::Internal(backend.Describe() +
+                            " answered with a non-protocol frame: " +
+                            reply.status().message());
+  }
+  if (reply.value().tag == ResponseTag::kError) {
+    // A backend started without --ingest-spec rejects a forward here
+    // ("ingest is not enabled ..."); surface its own words.
+    return Status::Internal(backend.Describe() + " rejected the " + what +
+                            ": " + reply.value().error.message());
+  }
+  if (reply.value().tag != want) {
+    return Status::Internal(backend.Describe() + " answered the " + what +
+                            " with the wrong kind of frame");
+  }
+  return reply;
 }
 
 }  // namespace
@@ -212,143 +241,69 @@ std::string Router::RejectFrame(const Status& status, const Json& id) {
   return server::ErrorResponseLine(status, id);
 }
 
-Result<std::vector<Json>> Router::CallShard(
-    const ShardRuntime& runtime, size_t stats_index,
-    std::span<const api::ImputeRequest> requests) {
-  const std::string frame = server::EncodeImputeBatchRequest(
-      runtime.model_spec, requests);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto response = runtime.backend->Call(frame);
+Router::InFlight Router::StartShard(
+    size_t shard_index, std::span<const api::ImputeRequest> requests) {
+  const ShardRuntime& runtime =
+      shard_index == kFallback ? fallback_ : shards_[shard_index];
+  Request sub;
+  sub.op = Request::Op::kImputeBatch;
+  sub.model = runtime.model_spec;
+  sub.requests.assign(requests.begin(), requests.end());
+  // Braced members initialize in order, so `sent` is read before the send.
+  return {&runtime, StatsIndexFor(shard_index), requests.size(),
+          std::chrono::steady_clock::now(),
+          runtime.backend->Start(server::frame::EncodeRequestFrame(sub))};
+}
+
+Result<Router::Results> Router::FinishShard(InFlight call) {
+  auto reply = ReadReply(*call.runtime->backend, call.pending, "sub-frame",
+                         ResponseTag::kResults);
   const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
+                        std::chrono::steady_clock::now() - call.sent)
                         .count();
   {
     core::MutexLock lock(stats_mu_);
-    shard_stats_[stats_index].latency_p50.Add(ms);
-    shard_stats_[stats_index].latency_p99.Add(ms);
+    shard_stats_[call.stats_index].latency_p50.Add(ms);
+    shard_stats_[call.stats_index].latency_p99.Add(ms);
   }
-  if (!response.ok()) return response.status();
-  // The backend speaks the protocol we speak; anything else (a port that
-  // answers but is not habit_serve, a truncated line) is a backend
-  // failure, handled exactly like an unreachable one.
-  auto parsed = Json::Parse(response.value());
-  if (!parsed.ok()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol line: " +
-                            parsed.status().message());
+  if (!reply.ok()) return reply.status();
+  if (reply.value().results.size() != call.expected) {
+    return Status::Internal(call.runtime->backend->Describe() +
+                            " answered with a mismatched results frame");
   }
-  const Json* ok = parsed.value().Find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol frame");
-  }
-  if (!ok->bool_value()) {
-    const Json* error = parsed.value().Find("error");
-    const Json* message =
-        error != nullptr ? error->Find("message") : nullptr;
-    return Status::Internal(
-        runtime.backend->Describe() + " rejected the sub-frame: " +
-        (message != nullptr && message->is_string() ? message->string_value()
-                                                    : "unknown error"));
-  }
-  const Json* results = parsed.value().Find("results");
-  if (results == nullptr || !results->is_array() ||
-      results->items().size() != requests.size()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a mismatched results array");
-  }
-  return results->items();
+  return std::move(reply.value().results);
 }
 
-Router::GroupOutcome Router::ExecuteGroup(
+Router::GroupOutcome Router::FinishGroup(
     size_t shard_index, const char* strategy,
-    std::span<const api::ImputeRequest> requests) {
-  const ShardRuntime& planned =
-      shard_index == kFallback ? fallback_ : shards_[shard_index];
-  const size_t planned_stats = StatsIndexFor(shard_index);
-  const size_t fallback_stats = StatsIndexFor(kFallback);
-  {
-    core::MutexLock lock(stats_mu_);
-    shard_stats_[planned_stats].requests += requests.size();
+    std::span<const api::ImputeRequest> requests, InFlight first) {
+  auto results = FinishShard(std::move(first));
+  // Only transport failures retry: a protocol-level rejection is
+  // deterministic (bad snapshot, bad spec), and retrying the same backend
+  // cannot change the answer.
+  for (int retry = 0; retry < options_.retries && !results.ok() &&
+                      results.status().code() == StatusCode::kUnreachable;
+       ++retry) {
+    results = FinishShard(StartShard(shard_index, requests));
   }
-  Status failure = Status::OK();
-  for (int attempt = 0; attempt <= options_.retries; ++attempt) {
-    auto results = CallShard(planned, planned_stats, requests);
-    if (results.ok()) return {results.MoveValue(), strategy};
-    failure = results.status();
-    // A protocol-level rejection is deterministic (bad snapshot, bad
-    // spec) — retrying the same backend cannot change the answer.
-    if (failure.code() != StatusCode::kUnreachable) break;
-  }
+  if (results.ok()) return {results.MoveValue(), strategy};
+  Status failure = results.status();
   if (shard_index != kFallback) {
     // Degrade: the full-graph fallback can answer anything this shard
     // could. One attempt, no retry — the fallback failing too means the
     // fleet is down, and a third round trip just delays the error.
     {
       core::MutexLock lock(stats_mu_);
-      shard_stats_[planned_stats].degraded += requests.size();
-      shard_stats_[fallback_stats].requests += requests.size();
+      shard_stats_[StatsIndexFor(shard_index)].degraded += requests.size();
+      shard_stats_[StatsIndexFor(kFallback)].requests += requests.size();
     }
-    auto results = CallShard(fallback_, fallback_stats, requests);
-    if (results.ok()) return {results.MoveValue(), "degraded"};
-    failure = results.status();
+    auto degraded = FinishShard(StartShard(kFallback, requests));
+    if (degraded.ok()) return {degraded.MoveValue(), "degraded"};
+    failure = degraded.status();
   }
-  // Per-request error objects, same shape as a query-level failure — the
-  // rest of the batch is unaffected.
-  std::vector<Json> errors;
-  errors.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Json err = Json::Object();
-    err.Set("ok", Json::Bool(false));
-    Json detail = Json::Object();
-    detail.Set("code", Json::String(StatusCodeToString(failure.code())));
-    detail.Set("message", Json::String(failure.message()));
-    err.Set("error", std::move(detail));
-    errors.push_back(std::move(err));
-  }
-  return {std::move(errors), "unavailable"};
-}
-
-Result<Router::IngestAck> Router::ForwardIngestFrame(
-    const ShardRuntime& runtime, const std::string& frame) {
-  auto response = runtime.backend->Call(frame);
-  if (!response.ok()) return response.status();
-  auto parsed = Json::Parse(response.value());
-  if (!parsed.ok()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol line: " +
-                            parsed.status().message());
-  }
-  const Json* ok = parsed.value().Find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol frame");
-  }
-  if (!ok->bool_value()) {
-    // A backend started without --ingest-spec rejects the forward here
-    // ("ingest is not enabled ..."); surface its own words.
-    const Json* error = parsed.value().Find("error");
-    const Json* message =
-        error != nullptr ? error->Find("message") : nullptr;
-    return Status::Internal(
-        runtime.backend->Describe() + " rejected the forward: " +
-        (message != nullptr && message->is_string() ? message->string_value()
-                                                    : "unknown error"));
-  }
-  const Json* epoch = parsed.value().Find("epoch");
-  const Json* accepted = parsed.value().Find("accepted");
-  const Json* pending = parsed.value().Find("pending");
-  if (epoch == nullptr || !epoch->is_number() || accepted == nullptr ||
-      !accepted->is_number() || pending == nullptr ||
-      !pending->is_number()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " acked without epoch/accepted/pending");
-  }
-  IngestAck ack;
-  ack.epoch = static_cast<uint64_t>(epoch->number_value());
-  ack.accepted = static_cast<uint64_t>(accepted->number_value());
-  ack.pending = static_cast<uint64_t>(pending->number_value());
-  return ack;
+  // Per-request errors, rendered like a query-level failure — the rest of
+  // the batch is unaffected.
+  return {Results(requests.size(), failure), "unavailable"};
 }
 
 std::string Router::HandleIngest(const Request& request) {
@@ -358,9 +313,8 @@ std::string Router::HandleIngest(const Request& request) {
   // or the second copy trips the delta's duplicate-trip validation.
   struct Forward {
     ShardBackend* backend = nullptr;
-    const ShardRuntime* runtime = nullptr;  ///< representative, for errors
-    std::vector<size_t> stats_rows;         ///< every row behind backend
-    std::vector<size_t> trip_indices;       ///< deduped, ingest only
+    std::vector<size_t> stats_rows;    ///< every row behind backend
+    std::vector<size_t> trip_indices;  ///< deduped, ingest only
   };
   std::vector<Forward> forwards;
   const auto forward_for = [&](const ShardRuntime& runtime,
@@ -374,7 +328,7 @@ std::string Router::HandleIngest(const Request& request) {
         return f;
       }
     }
-    forwards.push_back(Forward{runtime.backend, &runtime, {stats_row}, {}});
+    forwards.push_back(Forward{runtime.backend, {stats_row}, {}});
     return forwards.back();
   };
 
@@ -419,36 +373,25 @@ std::string Router::HandleIngest(const Request& request) {
     }
   }
 
-  // Encode each backend's sub-frame, then fan out concurrently (a
-  // rollover ack can block on a full epoch rebuild; a slow backend must
-  // not serialize behind a fast one).
-  std::vector<std::string> frames(forwards.size());
-  for (size_t g = 0; g < forwards.size(); ++g) {
-    if (request.op == Request::Op::kRollover) {
-      frames[g] = server::EncodeRolloverRequest();
-    } else {
-      std::vector<ais::Trip> sub;
-      sub.reserve(forwards[g].trip_indices.size());
-      for (const size_t t : forwards[g].trip_indices) {
-        sub.push_back(request.trips[t]);
-      }
-      frames[g] = server::EncodeIngestRequest(sub);
+  // Send every backend's sub-frame, then read the acks in order: a
+  // rollover ack can block on a rebuild, and the backends rebuild in
+  // parallel while this thread waits.
+  std::vector<ShardBackend::Pending> sent;
+  sent.reserve(forwards.size());
+  for (const Forward& forward : forwards) {
+    Request sub;
+    sub.op = request.op;
+    for (const size_t t : forward.trip_indices) {
+      sub.trips.push_back(request.trips[t]);
     }
+    sent.push_back(
+        forward.backend->Start(server::frame::EncodeRequestFrame(sub)));
   }
-  std::vector<Result<IngestAck>> acks(forwards.size(),
-                                      Status::Internal("not forwarded"));
-  const auto run = [&](size_t g) {
-    acks[g] = ForwardIngestFrame(*forwards[g].runtime, frames[g]);
-  };
-  if (forwards.size() == 1) {
-    run(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(forwards.size());
-    for (size_t g = 0; g < forwards.size(); ++g) {
-      threads.emplace_back(run, g);
-    }
-    for (std::thread& t : threads) t.join();
+  std::vector<Result<FrameResponse>> acks;
+  acks.reserve(forwards.size());
+  for (size_t g = 0; g < forwards.size(); ++g) {
+    acks.push_back(ReadReply(*forwards[g].backend, sent[g], "forward",
+                             ResponseTag::kAck));
   }
 
   // Record acked epochs before judging failures, so a partially-applied
@@ -480,7 +423,7 @@ std::string Router::HandleIngest(const Request& request) {
   uint64_t min_epoch = UINT64_MAX;
   uint64_t accepted = 0;
   uint64_t pending = 0;
-  for (const Result<IngestAck>& ack : acks) {
+  for (const Result<FrameResponse>& ack : acks) {
     min_epoch = std::min(min_epoch, ack.value().epoch);
     accepted += ack.value().accepted;
     pending += ack.value().pending;
@@ -503,6 +446,25 @@ std::string Router::HandleImpute(const Request& request) {
           request.id);
     }
   }
+
+  // Group requests by target shard (std::map: deterministic group order,
+  // fallback's kFallback sentinel sorts last).
+  struct Group {
+    const char* strategy = nullptr;  ///< the first request's
+    std::vector<size_t> indices;
+    std::vector<api::ImputeRequest> requests;
+    InFlight flight;
+    GroupOutcome outcome;
+  };
+  std::map<size_t, Group> groups;
+  for (size_t i = 0; i < request.requests.size(); ++i) {
+    const RouteDecision decision = Decide(request.requests[i]);
+    auto [it, inserted] = groups.try_emplace(decision.shard);
+    if (inserted) it->second.strategy = decision.strategy;
+    it->second.indices.push_back(i);
+    it->second.requests.push_back(request.requests[i]);
+  }
+
   {
     core::MutexLock lock(stats_mu_);
     for (const api::ImputeRequest& r : request.requests) {
@@ -510,71 +472,34 @@ std::string Router::HandleImpute(const Request& request) {
         vessels_.AddInt(static_cast<uint64_t>(*r.vessel_id));
       }
     }
-  }
-
-  // Group requests by target shard (std::map: deterministic group order,
-  // fallback's kFallback sentinel sorts last).
-  struct Group {
-    const char* strategy;
-    std::vector<size_t> indices;
-  };
-  std::map<size_t, Group> groups;
-  std::vector<RouteDecision> decisions(request.requests.size());
-  for (size_t i = 0; i < request.requests.size(); ++i) {
-    decisions[i] = Decide(request.requests[i]);
-    auto [it, inserted] = groups.try_emplace(
-        decisions[i].shard, Group{decisions[i].strategy, {}});
-    it->second.indices.push_back(i);
-  }
-
-  // Fan out: one sub-frame per group, concurrently when there is more
-  // than one (each group blocks on its own backend round trip; a slow
-  // shard must not serialize behind a fast one).
-  std::vector<std::pair<size_t, Group*>> order;
-  order.reserve(groups.size());
-  for (auto& [shard, group] : groups) order.emplace_back(shard, &group);
-  std::vector<GroupOutcome> outcomes(order.size());
-  const auto run = [&](size_t g) {
-    std::vector<api::ImputeRequest> sub;
-    sub.reserve(order[g].second->indices.size());
-    for (const size_t i : order[g].second->indices) {
-      sub.push_back(request.requests[i]);
+    for (const auto& [shard, group] : groups) {
+      shard_stats_[StatsIndexFor(shard)].requests += group.indices.size();
     }
-    outcomes[g] =
-        ExecuteGroup(order[g].first, order[g].second->strategy, sub);
-  };
-  if (order.size() == 1) {
-    run(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(order.size());
-    for (size_t g = 0; g < order.size(); ++g) {
-      threads.emplace_back(run, g);
-    }
-    for (std::thread& t : threads) t.join();
   }
 
-  // Reassemble in request order. Result objects are spliced from the
-  // backend responses via parse + re-dump — Json::Dump is canonical, so
-  // the bytes match what a single-process server would have emitted for
-  // the same query against the same model.
-  std::vector<Json> results(request.requests.size());
+  // Fan out without threads: send every group's sub-frame, then read the
+  // replies in group order while the backends work in parallel.
+  for (auto& [shard, group] : groups) {
+    group.flight = StartShard(shard, group.requests);
+  }
+  // Reassemble in request order; each result is rendered once, below, by
+  // the function habit_serve's JSON path renders it with.
+  std::vector<const Result<api::ImputeResponse>*> results(
+      request.requests.size());
   std::vector<const char*> routes(request.requests.size());
-  for (size_t g = 0; g < order.size(); ++g) {
-    const Group& group = *order[g].second;
+  for (auto& [shard, group] : groups) {
+    group.outcome = FinishGroup(shard, group.strategy, group.requests,
+                                std::move(group.flight));
     for (size_t k = 0; k < group.indices.size(); ++k) {
-      results[group.indices[k]] = std::move(outcomes[g].results[k]);
-      routes[group.indices[k]] = outcomes[g].strategy;
+      results[group.indices[k]] = &group.outcome.results[k];
+      routes[group.indices[k]] = group.outcome.strategy;
     }
   }
 
   if (request.op == Request::Op::kImpute) {
     // Same members a habit_serve single-impute response carries, plus the
     // route (appended after, so the shared prefix stays byte-comparable).
-    Json frame = Json::Object();
-    for (const auto& [key, value] : results.front().members()) {
-      frame.Set(key, value);
-    }
+    Json frame = server::ImputeResultToJson(*results.front());
     frame.Set("route", Json::String(routes.front()));
     if (!request.id.is_null()) frame.Set("id", request.id);
     return frame.Dump();
@@ -582,7 +507,9 @@ std::string Router::HandleImpute(const Request& request) {
   Json frame = Json::Object();
   frame.Set("ok", Json::Bool(true));
   Json arr = Json::Array();
-  for (Json& result : results) arr.Append(std::move(result));
+  for (const Result<api::ImputeResponse>* result : results) {
+    arr.Append(server::ImputeResultToJson(*result));
+  }
   frame.Set("results", std::move(arr));
   Json route_arr = Json::Array();
   for (const char* route : routes) route_arr.Append(Json::String(route));

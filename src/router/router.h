@@ -12,27 +12,34 @@
 //   "fallback"     no single shard covers the gap; the designated
 //                  full-graph shard answers
 //   "degraded"     the planned shard's backend failed (down, timeout,
-//                  refused) after one retry; the fallback answered
+//                  refused) after its retries; the fallback answered
 //   "unavailable"  the fallback failed too; the response carries a
 //                  per-request error, the batch's other requests are
 //                  unaffected
 //
-// The client surface is the habit_serve protocol minus "model": the
+// The client surface is the habit_serve JSON protocol minus "model": the
 // manifest picks models. Frames that DO name one are rejected — a model
 // choice the router would silently override must not look honored.
+//
+// The router -> backend hop is HBTF: one impute_batch frame per shard
+// group, each result rendered once by server::ImputeResultToJson (as in
+// habit_serve's JSON path, so routed answers are byte-identical to
+// monolithic serving). Every sub-frame is sent before any reply is read,
+// on the calling thread: a slow shard costs the slowest wait, not the sum.
 //
 // Live ingest PROPAGATES, it does not terminate here — the router owns no
 // model to rebuild. An `ingest` frame is split per backend: every trip
 // forwards to the full-graph fallback (the authoritative cumulative set)
 // plus every shard whose core parent cell contains at least one of the
-// trip's points; `rollover` fans out to every distinct backend. The ack
-// aggregates conservatively: the minimum acked epoch, summed
-// accepted/pending (a trip crossing shard boundaries stages once per
-// backend it reaches). Backends cross epoch boundaries at slightly
-// different times as a result; mixed epochs across the fleet are
-// tolerated BY CONSTRUCTION, because each impute request is answered by
-// exactly one backend — one epoch per answer, never a torn mix. The
-// per-shard `epoch` column in `stats` shows the spread.
+// trip's points; `rollover` fans out to every distinct backend, sent the
+// same way (rebuilds overlap). The ack aggregates conservatively: the
+// minimum acked epoch, summed accepted/pending (a trip crossing shard
+// boundaries stages once per backend it reaches). Backends cross epoch
+// boundaries at slightly different times as a result; mixed epochs
+// across the fleet are tolerated BY CONSTRUCTION, because each impute
+// request is answered by exactly one backend — one epoch per answer,
+// never a torn mix. The per-shard `epoch` column in `stats` shows the
+// spread.
 //
 // Startup is fail-fast: the manifest's own checksum was verified at
 // parse, and every shard snapshot's stored checksum is verified against
@@ -41,6 +48,7 @@
 // mid-traffic surprise.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -105,7 +113,7 @@ class Router {
 
  private:
   /// Immutable per-shard routing state, fixed by Make() before any frame
-  /// is served — readable from every fan-out thread without a lock.
+  /// is served — readable from every dispatch thread without a lock.
   struct ShardRuntime {
     ShardEntry entry;
     std::string model_spec;  ///< canonical "habit:load=<abs path>[,map=1]"
@@ -123,6 +131,9 @@ class Router {
     /// ingest/rollover (0 until the first ack) — the fleet's epoch
     /// spread, surfaced per shard row by `stats`.
     uint64_t epoch = 0;
+    /// Sub-frame latency from its send to its reply being read. Replies
+    /// are read in group order, so a group read after a slower one
+    /// includes that wait.
     sketch::P2Quantile latency_p50{0.5};
     sketch::P2Quantile latency_p99{0.99};
   };
@@ -135,6 +146,17 @@ class Router {
     const char* strategy = "fallback";
   };
 
+  using Results = std::vector<Result<api::ImputeResponse>>;
+
+  /// One impute sub-frame sent to a shard's backend, reply not yet read.
+  struct InFlight {
+    const ShardRuntime* runtime = nullptr;
+    size_t stats_index = 0;  ///< the shard_stats_ row charged for latency
+    size_t expected = 0;     ///< results the reply must carry
+    std::chrono::steady_clock::time_point sent;
+    ShardBackend::Pending pending;
+  };
+
   Router(ShardManifest manifest,
          std::vector<std::shared_ptr<ShardBackend>> backends,
          const RouterOptions& options);
@@ -143,50 +165,39 @@ class Router {
   std::string HandleImpute(const server::Request& request)
       EXCLUDES(stats_mu_);
 
-  /// One backend's answer to a forwarded ingest/rollover sub-frame.
-  struct IngestAck {
-    uint64_t epoch = 0;
-    uint64_t accepted = 0;
-    uint64_t pending = 0;
-  };
-
   /// Fans an ingest/rollover frame out across the fleet (one sub-frame
   /// per distinct backend — shards may share one, and a duplicate forward
   /// would trip the delta's already-staged validation) and aggregates the
   /// acks. Forwards are NOT retried: after a transport failure a lost
   /// response is indistinguishable from a lost request, and blind
-  /// re-sends turn into spurious duplicate-trip rejections.
+  /// re-sends turn into spurious duplicate-trip rejections. Forwards do
+  /// not feed the latency percentiles either — those measure query
+  /// latency, and a rollover ack can block on a full epoch rebuild.
   std::string HandleIngest(const server::Request& request)
       EXCLUDES(stats_mu_);
-
-  /// One ingest/rollover round trip to `runtime`'s backend; parses the
-  /// uniform ack shape. Deliberately does NOT feed the latency
-  /// percentiles — those measure query latency, and a rollover ack can
-  /// block on a full epoch rebuild.
-  Result<IngestAck> ForwardIngestFrame(const ShardRuntime& runtime,
-                                       const std::string& frame);
   std::string RejectFrame(const Status& status,
                           const server::Json& id = server::Json())
       EXCLUDES(stats_mu_);
   std::string StatsLine(const server::Json& id) EXCLUDES(stats_mu_);
 
-  /// Runs one sub-frame against its planned shard with retry-then-degrade
-  /// and returns per-request result objects (always `requests.size()` of
-  /// them) plus the strategy actually used for the whole group.
-  struct GroupOutcome {
-    std::vector<server::Json> results;
-    const char* strategy;
-  };
-  GroupOutcome ExecuteGroup(size_t shard_index, const char* strategy,
-                            std::span<const api::ImputeRequest> requests)
-      EXCLUDES(stats_mu_);
+  /// Sends `requests` as one impute_batch frame to the shard's backend.
+  InFlight StartShard(size_t shard_index,
+                      std::span<const api::ImputeRequest> requests);
 
-  /// One impute_batch round trip to `runtime`'s backend; OK result holds
-  /// the per-request result objects. `stats_index` names the
-  /// shard_stats_ row charged for the call's latency.
-  Result<std::vector<server::Json>> CallShard(
-      const ShardRuntime& runtime, size_t stats_index,
-      std::span<const api::ImputeRequest> requests) EXCLUDES(stats_mu_);
+  /// Reads the reply and charges its latency to the call's stats row.
+  Result<Results> FinishShard(InFlight call) EXCLUDES(stats_mu_);
+
+  /// Finishes a group whose first attempt, `first`, went to its planned
+  /// shard: transport failures retry there, then degrade to the fallback;
+  /// a fallback failure becomes per-request errors. Always returns
+  /// `requests.size()` results plus the strategy used for the group.
+  struct GroupOutcome {
+    Results results;
+    const char* strategy = nullptr;
+  };
+  GroupOutcome FinishGroup(size_t shard_index, const char* strategy,
+                           std::span<const api::ImputeRequest> requests,
+                           InFlight first) EXCLUDES(stats_mu_);
 
   /// The shard_stats_ row for a RouteDecision index (the fallback's
   /// kFallback sentinel maps to the trailing row).
@@ -201,7 +212,7 @@ class Router {
   ShardRuntime fallback_;
   std::unordered_map<hex::CellId, size_t> shard_by_cell_;
 
-  /// Guards every mutable counter/sketch below; fan-out threads write
+  /// Guards every mutable counter/sketch below; concurrent frames write
   /// them per sub-frame while the `stats` op reads a snapshot.
   core::Mutex stats_mu_;
   /// Row i = shards_[i]; trailing row = the fallback (StatsIndexFor).

@@ -381,12 +381,6 @@ std::string EncodeIngestRequest(std::span<const ais::Trip> trips) {
   return frame.Dump();
 }
 
-std::string EncodeRolloverRequest() {
-  Json frame = Json::Object();
-  frame.Set("op", Json::String("rollover"));
-  return frame.Dump();
-}
-
 std::string AckResponseLine(const std::string& op, uint64_t epoch,
                             uint64_t accepted, uint64_t pending,
                             const Json& id) {

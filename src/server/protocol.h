@@ -116,10 +116,9 @@ std::string BatchResponseLine(
 /// One trip delta as a protocol JSON object (the "trips" array element).
 Json TripToJson(const ais::Trip& trip);
 
-/// Builds the full frame for an ingest / rollover request (client side:
-/// the router's per-shard forwarding, tests, and the CI smokes).
+/// Builds the full frame for an ingest request (client side: habit_cli
+/// ingest-lines and tests).
 std::string EncodeIngestRequest(std::span<const ais::Trip> trips);
-std::string EncodeRolloverRequest();
 
 /// The uniform ok:true ack for ingest/rollover: op name echoed, the
 /// served epoch, trips accepted by this frame, and the builder backlog.

@@ -434,7 +434,7 @@ TEST(ServerStressTest, IngestAndRolloverRacingPipelinedImputeClients) {
     double last_epoch = 0;
     for (int r = 0; r < 4; ++r) {
       std::string reply;
-      if (!client.Call(server::EncodeRolloverRequest(), &reply)) return;
+      if (!client.Call("{\"op\":\"rollover\"}", &reply)) return;
       const Json ack = MustParse(reply);
       const Json* ok = ack.Find("ok");
       if (ok == nullptr || !ok->bool_value()) return;
@@ -487,7 +487,7 @@ TEST(ServerStressTest, IngestAndRolloverRacingPipelinedImputeClients) {
     server::LineClient client(server.bound_port(), client_options);
     ASSERT_TRUE(client.connected());
     std::string reply;
-    ASSERT_TRUE(client.Call(server::EncodeRolloverRequest(), &reply));
+    ASSERT_TRUE(client.Call("{\"op\":\"rollover\"}", &reply));
     ASSERT_TRUE(MustParse(reply).Find("ok")->bool_value()) << reply;
     ASSERT_TRUE(client.Call("{\"op\":\"stats\"}", &reply));
     const Json stats = MustParse(reply);
@@ -558,8 +558,8 @@ TEST(RouterStressTest, FanOutOverAFlappingBackendAnswersEveryRequest) {
   ASSERT_TRUE(router.ok()) << router.status().ToString();
 
   // Gaps spread along the lane: some route in-shard, some halo, some
-  // fallback — concurrent frames exercise the fan-out threads and the
-  // shared stats under contention.
+  // fallback — concurrent frames exercise the retry-then-degrade path and
+  // the shared stats under contention.
   std::vector<api::ImputeRequest> requests;
   for (int i = 0; i < 6; ++i) {
     api::ImputeRequest req;
@@ -612,8 +612,8 @@ TEST(RouterStressTest, FanOutOverAFlappingBackendAnswersEveryRequest) {
     EXPECT_TRUE(client_ok[static_cast<size_t>(c)]) << "client " << c;
   }
 
-  // The stats frame reads the shard rows the fan-out threads wrote; the
-  // totals reconcile with the traffic sent.
+  // The stats frame reads the shard rows the client threads' frames
+  // wrote; the totals reconcile with the traffic sent.
   const Json stats = MustParse(router.value()->HandleLine(
       "{\"op\":\"stats\"}"));
   ASSERT_NE(stats.Find("frames"), nullptr);

@@ -1,29 +1,39 @@
 // Sharded-serving tests: the shard builder's manifest contract
 // (round-trip, tamper rejection), the router's core acceptance
 // criterion — in-shard routed responses BYTE-IDENTICAL to single-process
-// serving of the monolithic model — halo vs fallback routing, the
-// retry-then-degrade path when a shard backend is down, fail-fast
-// startup on manifest/snapshot mismatches, and the LineClient deadlines
-// the remote backends ride on.
+// serving of the monolithic model, over both backend kinds — halo vs
+// fallback routing, the send-every-sub-frame-before-reading fan-out, the
+// retry-then-degrade path when a shard backend is down or does not speak
+// HBTF, ingest/rollover forwarding, fail-fast startup on
+// manifest/snapshot mismatches, and the LineClient deadlines the remote
+// backends ride on.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/epoch.h"
+#include "core/sync.h"
+#include "core/thread_annotations.h"
 #include "hexgrid/hexgrid.h"
 #include "router/backend.h"
 #include "router/manifest.h"
 #include "router/router.h"
 #include "router/shard_builder.h"
+#include "server/frame.h"
 #include "server/line_client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "server/transport.h"
 
 namespace habit::router {
 namespace {
@@ -74,6 +84,14 @@ api::ImputeRequest GapRequest(double lat_start, double lat_end) {
   return req;
 }
 
+// How a test router reaches its server: in-process or over loopback HBTF.
+enum class Kind { kLocal, kRemote };
+constexpr Kind kBothKinds[] = {Kind::kLocal, Kind::kRemote};
+
+const char* KindName(Kind kind) {
+  return kind == Kind::kLocal ? "LocalBackend" : "RemoteBackend";
+}
+
 // Shards built once for the whole suite (each shard is a full HABIT
 // model build).
 class RouterTest : public ::testing::Test {
@@ -102,23 +120,42 @@ class RouterTest : public ::testing::Test {
     manifest_ = nullptr;
   }
 
-  // A local-mode router over a fresh in-process server. Keeps the server
-  // alive alongside the router.
-  struct LocalRig {
+  // A router over a fresh server, reached in-process (LocalBackend) or
+  // over loopback HBTF (RemoteBackend to the server listening on an
+  // ephemeral port). Keeps the server alive alongside the router.
+  struct Rig {
     std::unique_ptr<server::Server> server;
+    std::thread serve;
     std::unique_ptr<Router> router;
+    ~Rig() {
+      router.reset();
+      if (serve.joinable()) {
+        server->Shutdown();
+        serve.join();
+      }
+    }
   };
-  static LocalRig MakeLocalRig(const RouterOptions& options = {}) {
-    LocalRig rig;
+  static std::unique_ptr<Rig> MakeRig(Kind kind = Kind::kLocal) {
+    auto rig = std::make_unique<Rig>();
     server::ServerOptions server_options;
     server_options.cache_bytes = 1ull << 30;
     server_options.threads = 2;
-    rig.server = std::make_unique<server::Server>(server_options);
-    auto made = Router::Make(
-        *manifest_, *dir_,
-        {std::make_shared<LocalBackend>(rig.server.get())}, options);
+    rig->server = std::make_unique<server::Server>(server_options);
+    std::shared_ptr<ShardBackend> backend;
+    if (kind == Kind::kLocal) {
+      backend = std::make_shared<LocalBackend>(rig->server.get());
+    } else {
+      EXPECT_TRUE(rig->server->Listen(0).ok());
+      server::Server* server = rig->server.get();
+      rig->serve = std::thread([server] { (void)server->Serve(); });
+      backend = std::make_shared<RemoteBackend>(
+          server->bound_port(),
+          server::ClientOptions{.connect_timeout_ms = 1000,
+                                .io_timeout_ms = 10000});
+    }
+    auto made = Router::Make(*manifest_, *dir_, {backend});
     EXPECT_TRUE(made.ok()) << made.status().ToString();
-    if (made.ok()) rig.router = made.MoveValue();
+    if (made.ok()) rig->router = made.MoveValue();
     return rig;
   }
 
@@ -326,8 +363,6 @@ TEST_F(RouterTest, RouterStartupVerifiesSnapshotsAgainstManifest) {
 // ----------------------------------------------------------------- routing
 
 TEST_F(RouterTest, InShardResponsesAreByteIdenticalToMonolithicServing) {
-  LocalRig rig = MakeLocalRig();
-  ASSERT_NE(rig.router, nullptr);
   // Several in-shard gaps at different offsets (all endpoints pairwise in
   // one covered parent each).
   std::vector<api::ImputeRequest> requests;
@@ -343,101 +378,121 @@ TEST_F(RouterTest, InShardResponsesAreByteIdenticalToMonolithicServing) {
   }
   ASSERT_FALSE(requests.empty());
 
-  const Json frame = MustParse(rig.router->HandleLine(
-      server::EncodeImputeBatchRequest("", requests)));
-  ASSERT_NE(frame.Find("ok"), nullptr);
-  ASSERT_TRUE(frame.Find("ok")->bool_value());
-  const Json* results = frame.Find("results");
-  const Json* routes = frame.Find("routes");
-  ASSERT_NE(results, nullptr);
-  ASSERT_NE(routes, nullptr);
-  ASSERT_EQ(results->items().size(), requests.size());
-  ASSERT_EQ(routes->items().size(), requests.size());
+  for (const Kind kind : kBothKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const std::unique_ptr<Rig> rig = MakeRig(kind);
+    ASSERT_NE(rig->router, nullptr);
+    const Json frame = MustParse(rig->router->HandleLine(
+        server::EncodeImputeBatchRequest("", requests)));
+    ASSERT_NE(frame.Find("ok"), nullptr);
+    ASSERT_TRUE(frame.Find("ok")->bool_value());
+    const Json* results = frame.Find("results");
+    const Json* routes = frame.Find("routes");
+    ASSERT_NE(results, nullptr);
+    ASSERT_NE(routes, nullptr);
+    ASSERT_EQ(results->items().size(), requests.size());
+    ASSERT_EQ(routes->items().size(), requests.size());
 
-  const std::vector<std::string> reference =
-      MonolithicResults(*rig.router, requests);
-  ASSERT_EQ(reference.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(routes->items()[i].string_value(), "shard") << i;
-    // THE acceptance criterion: the shard model's answer, spliced through
-    // the router, is byte-identical to the monolithic model's.
-    EXPECT_EQ(results->items()[i].Dump(), reference[i]) << i;
-    EXPECT_TRUE(results->items()[i].Find("ok")->bool_value()) << i;
+    const std::vector<std::string> reference =
+        MonolithicResults(*rig->router, requests);
+    ASSERT_EQ(reference.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(routes->items()[i].string_value(), "shard") << i;
+      // THE acceptance criterion: the shard model's answer, spliced
+      // through the router, is byte-identical to the monolithic model's.
+      EXPECT_EQ(results->items()[i].Dump(), reference[i]) << i;
+      EXPECT_TRUE(results->items()[i].Find("ok")->bool_value()) << i;
+    }
   }
 }
 
 TEST_F(RouterTest, SingleImputeCarriesRouteAndEchoesId) {
-  LocalRig rig = MakeLocalRig();
-  ASSERT_NE(rig.router, nullptr);
+  const api::ImputeRequest gap = InShardGap();
   Json frame = Json::Object();
   frame.Set("op", Json::String("impute"));
   frame.Set("id", Json::String("q-7"));
-  frame.Set("request", server::ImputeRequestToJson(InShardGap()));
-  const Json response = MustParse(rig.router->HandleLine(frame.Dump()));
-  EXPECT_TRUE(response.Find("ok")->bool_value());
-  ASSERT_NE(response.Find("route"), nullptr);
-  EXPECT_EQ(response.Find("route")->string_value(), "shard");
-  ASSERT_NE(response.Find("id"), nullptr);
-  EXPECT_EQ(response.Find("id")->string_value(), "q-7");
-  EXPECT_NE(response.Find("path"), nullptr);
+  frame.Set("request", server::ImputeRequestToJson(gap));
+  for (const Kind kind : kBothKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const std::unique_ptr<Rig> rig = MakeRig(kind);
+    ASSERT_NE(rig->router, nullptr);
+    const std::string line = rig->router->HandleLine(frame.Dump());
+    const Json response = MustParse(line);
+    EXPECT_TRUE(response.Find("ok")->bool_value());
+    ASSERT_NE(response.Find("route"), nullptr);
+    EXPECT_EQ(response.Find("route")->string_value(), "shard");
+    ASSERT_NE(response.Find("id"), nullptr);
+    EXPECT_EQ(response.Find("id")->string_value(), "q-7");
+    EXPECT_NE(response.Find("path"), nullptr);
+    // The shape: the monolithic result object's members, then route, then
+    // id.
+    const std::vector<std::string> reference =
+        MonolithicResults(*rig->router, {gap});
+    ASSERT_EQ(reference.size(), 1u);
+    EXPECT_EQ(line, reference[0].substr(0, reference[0].size() - 1) +
+                        ",\"route\":\"shard\",\"id\":\"q-7\"}");
+  }
 }
 
 TEST_F(RouterTest, HaloAndFallbackStrategiesAreReportedAndAnswer) {
-  LocalRig rig = MakeLocalRig();
-  ASSERT_NE(rig.router, nullptr);
   const std::vector<api::ImputeRequest> requests = {HaloGap(),
                                                     CrossLaneGap()};
-  const Json frame = MustParse(rig.router->HandleLine(
-      server::EncodeImputeBatchRequest("", requests)));
-  const Json* routes = frame.Find("routes");
-  ASSERT_NE(routes, nullptr);
-  ASSERT_EQ(routes->items().size(), 2u);
-  EXPECT_EQ(routes->items()[0].string_value(), "halo");
-  EXPECT_EQ(routes->items()[1].string_value(), "fallback");
-  // Both paths produce protocol-valid per-request results (the lane is
-  // dense, so imputation itself succeeds).
-  const Json* results = frame.Find("results");
-  ASSERT_EQ(results->items().size(), 2u);
-  EXPECT_TRUE(results->items()[0].Find("ok")->bool_value());
-  EXPECT_TRUE(results->items()[1].Find("ok")->bool_value());
-  // The fallback answer equals the monolithic answer by construction.
-  const std::vector<std::string> reference =
-      MonolithicResults(*rig.router, requests);
-  EXPECT_EQ(results->items()[1].Dump(), reference[1]);
+  for (const Kind kind : kBothKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const std::unique_ptr<Rig> rig = MakeRig(kind);
+    ASSERT_NE(rig->router, nullptr);
+    const Json frame = MustParse(rig->router->HandleLine(
+        server::EncodeImputeBatchRequest("", requests)));
+    const Json* routes = frame.Find("routes");
+    ASSERT_NE(routes, nullptr);
+    ASSERT_EQ(routes->items().size(), 2u);
+    EXPECT_EQ(routes->items()[0].string_value(), "halo");
+    EXPECT_EQ(routes->items()[1].string_value(), "fallback");
+    // Both paths produce protocol-valid per-request results (the lane is
+    // dense, so imputation itself succeeds).
+    const Json* results = frame.Find("results");
+    ASSERT_EQ(results->items().size(), 2u);
+    EXPECT_TRUE(results->items()[0].Find("ok")->bool_value());
+    EXPECT_TRUE(results->items()[1].Find("ok")->bool_value());
+    // The fallback answer equals the monolithic answer by construction.
+    const std::vector<std::string> reference =
+        MonolithicResults(*rig->router, requests);
+    EXPECT_EQ(results->items()[1].Dump(), reference[1]);
+  }
 }
 
 TEST_F(RouterTest, RouterRejectsModelFieldAndMethodsOp) {
-  LocalRig rig = MakeLocalRig();
-  ASSERT_NE(rig.router, nullptr);
+  const std::unique_ptr<Rig> rig = MakeRig();
+  ASSERT_NE(rig->router, nullptr);
   const std::vector<api::ImputeRequest> one = {InShardGap()};
-  const Json named = MustParse(rig.router->HandleLine(
+  const Json named = MustParse(rig->router->HandleLine(
       server::EncodeImputeBatchRequest("habit", one)));
   EXPECT_FALSE(named.Find("ok")->bool_value());
   EXPECT_NE(named.Find("error")->Find("message")->string_value().find(
                 "drop the \"model\" field"),
             std::string::npos);
   const Json methods =
-      MustParse(rig.router->HandleLine("{\"op\":\"methods\"}"));
+      MustParse(rig->router->HandleLine("{\"op\":\"methods\"}"));
   EXPECT_FALSE(methods.Find("ok")->bool_value());
   // Ping still answers (health checks hit the router directly).
   const Json ping =
-      MustParse(rig.router->HandleLine("{\"op\":\"ping\",\"id\":3}"));
+      MustParse(rig->router->HandleLine("{\"op\":\"ping\",\"id\":3}"));
   EXPECT_TRUE(ping.Find("ok")->bool_value());
   EXPECT_EQ(ping.Find("id")->number_value(), 3.0);
 }
 
 TEST_F(RouterTest, StatsReportPerShardTrafficAndStrategies) {
-  LocalRig rig = MakeLocalRig();
-  ASSERT_NE(rig.router, nullptr);
+  const std::unique_ptr<Rig> rig = MakeRig();
+  ASSERT_NE(rig->router, nullptr);
   size_t shard = 0;
   api::ImputeRequest in_shard = InShardGap(&shard);
   in_shard.vessel_id = 219000001;
   const std::vector<api::ImputeRequest> mixed = {in_shard, CrossLaneGap()};
   ASSERT_FALSE(
-      rig.router->HandleLine(server::EncodeImputeBatchRequest("", mixed))
+      rig->router->HandleLine(server::EncodeImputeBatchRequest("", mixed))
           .empty());
   const Json stats =
-      MustParse(rig.router->HandleLine("{\"op\":\"stats\"}"));
+      MustParse(rig->router->HandleLine("{\"op\":\"stats\"}"));
   ASSERT_TRUE(stats.Find("ok")->bool_value());
   EXPECT_EQ(stats.Find("parent_res")->number_value(), kParentRes);
   const Json* shards = stats.Find("shards");
@@ -551,6 +606,256 @@ TEST_F(RouterTest, AllBackendsDownYieldsPerRequestErrorsNotAFrameError) {
   EXPECT_EQ(response.Find("route")->string_value(), "unavailable");
 }
 
+// ------------------------------------------------------------------ fan-out
+
+// A ping frame: the smallest valid HBTF request.
+std::string PingFrame() {
+  server::Request ping;
+  ping.op = server::Request::Op::kPing;
+  return server::frame::EncodeRequestFrame(ping);
+}
+
+// A binary peer in front of a real server. It answers the connection
+// probe at once but withholds every other reply until `expected`
+// sub-frames have arrived (or a 5 s failsafe passes, so a broken router
+// cannot hang the suite). A router that reads one reply before sending
+// the next sub-frame stalls on it until its IO deadline fires.
+class GatedPeer {
+ public:
+  GatedPeer(server::Server* server, size_t expected)
+      : server_(server),
+        expected_(expected),
+        pool_(4),
+        transport_(4u << 20,
+                   server::TransportHooks{
+                       .handle = [](std::string_view) {
+                         return server::ErrorResponseLine(
+                             Status::InvalidArgument("binary frames only"));
+                       },
+                       .handle_frame = [this](std::string_view payload) {
+                         return Handle(payload);
+                       },
+                       .submit = [this](std::function<void()> work) {
+                         return pool_.Submit(std::move(work));
+                       },
+                   }) {
+    EXPECT_TRUE(transport_.Listen(0).ok());
+    serve_ = std::thread([this] { (void)transport_.Serve(); });
+  }
+  ~GatedPeer() {
+    transport_.Shutdown();
+    serve_.join();
+  }
+
+  uint16_t port() const { return transport_.bound_port(); }
+  size_t arrived() EXCLUDES(mu_) {
+    core::MutexLock lock(mu_);
+    return arrived_;
+  }
+
+ private:
+  std::string Handle(std::string_view payload) EXCLUDES(mu_) {
+    auto decoded = server::frame::DecodeRequestPayload(payload, 4096, false);
+    const bool probe = decoded.ok() && !decoded.value().is_json &&
+                       decoded.value().request.op == server::Request::Op::kPing;
+    if (!probe) {
+      core::MutexLock lock(mu_);
+      ++arrived_;
+      gate_.NotifyAll();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (arrived_ < expected_ &&
+             std::chrono::steady_clock::now() < deadline) {
+        gate_.WaitFor(mu_, std::chrono::milliseconds(50));
+      }
+    }
+    return server_->HandleFrame(payload);
+  }
+
+  server::Server* server_;
+  const size_t expected_;
+  core::Mutex mu_;
+  core::CondVar gate_;
+  size_t arrived_ GUARDED_BY(mu_) = 0;
+  server::WorkerPool pool_;  ///< outlives transport_'s in-flight frames
+  server::LineTransport transport_;
+  std::thread serve_;
+};
+
+TEST_F(RouterTest, EverySubFrameIsSentBeforeAnyReplyIsRead) {
+  // Two groups — an in-shard gap and a cross-lane (fallback) gap — both
+  // served by the gated peer. Without retries, a router that waited for
+  // the first reply before sending the second sub-frame would time out
+  // and degrade (a third sub-frame), never answering "shard".
+  server::ServerOptions server_options;
+  server_options.threads = 2;
+  server::Server server(server_options);
+  GatedPeer peer(&server, /*expected=*/2);
+  auto made = Router::Make(
+      *manifest_, *dir_,
+      {std::make_shared<RemoteBackend>(
+          peer.port(), server::ClientOptions{.connect_timeout_ms = 1000,
+                                             .io_timeout_ms = 1000})},
+      RouterOptions{.retries = 0});
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const std::vector<api::ImputeRequest> requests = {InShardGap(),
+                                                    CrossLaneGap()};
+  const Json frame = MustParse(made.value()->HandleLine(
+      server::EncodeImputeBatchRequest("", requests)));
+  ASSERT_TRUE(frame.Find("ok")->bool_value());
+  EXPECT_EQ(frame.Find("routes")->items()[0].string_value(), "shard");
+  EXPECT_EQ(frame.Find("routes")->items()[1].string_value(), "fallback");
+  EXPECT_EQ(peer.arrived(), 2u);
+  const std::vector<std::string> reference =
+      MonolithicResults(*made.value(), requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(frame.Find("results")->items()[i].Dump(), reference[i]) << i;
+  }
+}
+
+TEST_F(RouterTest, BackendAnsweringTheProbeInJsonDegradesToFallback) {
+  // A JSON-only line server (no binary hook): it answers the HBTF probe
+  // with a JSON error line, which the backend reports as Unreachable.
+  server::LineTransport json_peer(
+      4u << 20, server::TransportHooks{.handle = [](std::string_view) {
+        return server::ErrorResponseLine(
+            Status::InvalidArgument("not a JSON frame"));
+      }});
+  ASSERT_TRUE(json_peer.Listen(0).ok());
+  std::thread serve([&json_peer] { (void)json_peer.Serve(); });
+
+  const server::ClientOptions client_options{.connect_timeout_ms = 1000,
+                                             .io_timeout_ms = 2000};
+  auto json_only =
+      std::make_shared<RemoteBackend>(json_peer.bound_port(), client_options);
+  const auto direct = json_only->Call(PingFrame());
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kUnreachable);
+  EXPECT_NE(direct.status().message().find("does not speak HBTF"),
+            std::string::npos)
+      << direct.status().ToString();
+
+  // The shard on the JSON peer degrades; the live fallback answers with
+  // the monolithic bytes (same slot layout as the dead-backend test).
+  size_t shard = 0;
+  const api::ImputeRequest gap = InShardGap(&shard);
+  server::Server live_server(server::ServerOptions{});
+  auto live = std::make_shared<LocalBackend>(&live_server);
+  std::vector<std::shared_ptr<ShardBackend>> backends(shard + 2, live);
+  backends[shard] = json_only;
+  auto made = Router::Make(*manifest_, *dir_, backends);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const std::vector<api::ImputeRequest> requests = {gap};
+  const Json frame = MustParse(made.value()->HandleLine(
+      server::EncodeImputeBatchRequest("", requests)));
+  ASSERT_TRUE(frame.Find("ok")->bool_value());
+  EXPECT_EQ(frame.Find("routes")->items()[0].string_value(), "degraded");
+  EXPECT_EQ(frame.Find("results")->items()[0].Dump(),
+            MonolithicResults(*made.value(), requests)[0]);
+
+  json_peer.Shutdown();
+  serve.join();
+}
+
+// -------------------------------------------------------------- ingest
+
+TEST_F(RouterTest, IngestAndRolloverForwardToEveryBackendAndAggregateAcks) {
+  // Two ingest-enabled backends: shard `s` on an in-process server, every
+  // other row — the fallback included — on a listening one.
+  size_t shard = 0;
+  const api::ImputeRequest gap = InShardGap(&shard);
+  server::ServerOptions server_options;
+  server_options.threads = 2;
+  api::EpochPipeline::Options ingest;
+  ingest.spec = "habit:r=8";
+  server::Server local_server(server_options);
+  ASSERT_TRUE(local_server.EnableIngest(ingest, MakeLaneTrips()).ok());
+  server::Server remote_server(server_options);
+  ASSERT_TRUE(remote_server.EnableIngest(ingest, MakeLaneTrips()).ok());
+  ASSERT_TRUE(remote_server.Listen(0).ok());
+  std::thread serve([&remote_server] { (void)remote_server.Serve(); });
+
+  auto local = std::make_shared<LocalBackend>(&local_server);
+  auto remote = std::make_shared<RemoteBackend>(
+      remote_server.bound_port(),
+      server::ClientOptions{.connect_timeout_ms = 1000,
+                            .io_timeout_ms = 30000});
+  std::vector<std::shared_ptr<ShardBackend>> backends(shard + 2, remote);
+  backends[shard] = local;
+  auto made = Router::Make(*manifest_, *dir_, backends);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Router& router = *made.value();
+
+  // One new trip inside shard `s`'s core cell: it stages on the fallback
+  // (remote) and on shard `s` (local) — once per backend.
+  ais::Trip trip;
+  trip.trip_id = 900;
+  trip.mmsi = 900;
+  trip.type = ais::VesselType::kPassenger;
+  for (int i = 0; i < 4; ++i) {
+    ais::AisRecord r;
+    r.mmsi = trip.mmsi;
+    r.ts = 2000000 + i * 60;
+    r.pos = {gap.gap_start.lat +
+                 (gap.gap_end.lat - gap.gap_start.lat) * i / 3.0,
+             11.0};
+    r.sog = 12.0;
+    r.type = trip.type;
+    trip.points.push_back(r);
+  }
+  EXPECT_EQ(router.HandleLine(server::EncodeIngestRequest(std::vector<ais::Trip>{trip})),
+            "{\"ok\":true,\"op\":\"ingest\",\"epoch\":0,\"accepted\":2,"
+            "\"pending\":2}");
+  EXPECT_EQ(router.HandleLine("{\"op\":\"rollover\",\"id\":5}"),
+            "{\"ok\":true,\"op\":\"rollover\",\"epoch\":1,\"accepted\":0,"
+            "\"pending\":0,\"id\":5}");
+  EXPECT_EQ(local_server.epoch_pipeline()->stats().epoch_trips, 7u);
+  EXPECT_EQ(remote_server.epoch_pipeline()->stats().epoch_trips, 7u);
+  const Json stats = MustParse(router.HandleLine("{\"op\":\"stats\"}"));
+  const Json* shards = stats.Find("shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_EQ(shards->items().size(), manifest_->shards.size() + 1);
+  for (const Json& row : shards->items()) {
+    EXPECT_EQ(row.Find("epoch")->number_value(), 1.0)
+        << row.Find("cell")->Dump();
+  }
+
+  // One backend dead: the live one acks (and keeps its rollover), the
+  // frame reports the dead one and warns against a blind re-send.
+  const uint16_t dead_port = DeadPort();
+  auto partial = Router::Make(
+      *manifest_, *dir_,
+      {local, std::make_shared<RemoteBackend>(
+                  dead_port, server::ClientOptions{.connect_timeout_ms = 500,
+                                                   .io_timeout_ms = 500})});
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  const Json rejected =
+      MustParse(partial.value()->HandleLine("{\"op\":\"rollover\"}"));
+  EXPECT_FALSE(rejected.Find("ok")->bool_value());
+  EXPECT_EQ(rejected.Find("error")->Find("code")->string_value(),
+            "Unreachable");
+  const std::string message =
+      rejected.Find("error")->Find("message")->string_value();
+  EXPECT_EQ(message.rfind("port " + std::to_string(dead_port) + ": ", 0), 0u)
+      << message;
+  EXPECT_NE(message.find("(other backends acked and keep their staged "
+                         "deltas — do not blindly re-send this frame)"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(local_server.epoch_pipeline()->stats().epoch, 2u);
+  const Json partial_stats =
+      MustParse(partial.value()->HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(partial_stats.Find("shards")->items()[0].Find("epoch")
+                ->number_value(),
+            2.0);
+  EXPECT_EQ(partial_stats.Find("shards")->items()[1].Find("epoch")
+                ->number_value(),
+            0.0);
+
+  remote_server.Shutdown();
+  serve.join();
+}
+
 // -------------------------------------------------------- client deadlines
 
 TEST(LineClientTest, RefusedConnectionSurfacesConnectError) {
@@ -591,7 +896,7 @@ TEST(LineClientTest, ReadDeadlineFiresOnASilentPeer) {
 TEST(LineClientTest, RemoteBackendMapsTransportFailureToUnreachable) {
   RemoteBackend backend(DeadPort(),
                         {.connect_timeout_ms = 500, .io_timeout_ms = 500});
-  auto result = backend.Call("{\"op\":\"ping\"}");
+  auto result = backend.Call(PingFrame());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnreachable);
   EXPECT_NE(result.status().message().find("port"), std::string::npos);

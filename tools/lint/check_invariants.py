@@ -44,11 +44,12 @@ rule name is shown in the violation message):
                one in-process assembly path; a second one is how layouts
                drift (row order, in-degrees, attribute alignment).
   thread-home  Within src/, std::thread appears ONLY in
-               server/server.{h,cc} (the WorkerPool), api/epoch.{h,cc}
-               (the epoch builder thread) and router/router.cc (the
-               per-group fan-out). Batch parallelism goes through the
-               server's WorkerPool; a second spawn site is a second
+               server/server.{h,cc} (the WorkerPool) and api/epoch.{h,cc}
+               (the epoch builder thread). Batch parallelism goes through
+               the server's WorkerPool; a second spawn site is a second
                scheduler that nests under the pool and escapes its bound.
+               The router fans out by sending every sub-frame before
+               reading any reply, on the calling thread.
                std::thread::hardware_concurrency is allowed anywhere.
   corridor-home RunSearchPruned (the record-time-pruned bucket-queue
                replay) is called ONLY from graph/search.h's
@@ -87,8 +88,7 @@ CSR_HOME = {"src/graph/compact_graph.h", "src/graph/compact_graph.cc",
             "src/graph/csr_assembler.h", "src/graph/csr_assembler.cc",
             "src/graph/snapshot.cc"}
 THREAD_HOME = {"src/server/server.h", "src/server/server.cc",
-               "src/api/epoch.h", "src/api/epoch.cc",
-               "src/router/router.cc"}
+               "src/api/epoch.h", "src/api/epoch.cc"}
 CORRIDOR_HOME = "src/graph/search.h"
 CORRIDOR_CALLER = "RunSearchCorridor"
 SOCKET_IO_HOME = {"src/server/transport.cc", "src/server/frame.cc",
@@ -284,9 +284,10 @@ class Linter:
             line_no = code.count("\n", 0, m.start()) + 1
             self.report(
                 path, line_no, "thread-home",
-                "std::thread outside server/server.{h,cc}, api/epoch.{h,cc} "
-                "and router/router.cc starts a second scheduler; run batch "
-                "work on the server's WorkerPool",
+                "std::thread outside server/server.{h,cc} and "
+                "api/epoch.{h,cc} starts a second scheduler; run batch "
+                "work on the server's WorkerPool (a fan-out sends every "
+                "sub-frame first, then reads the replies)",
                 raw_lines)
 
     def check_corridor_home(self, path: Path, rel: str, code: str,
